@@ -13,6 +13,7 @@
 //! constants below may be updated — but that is a results-breaking
 //! change and must be called out in the PR description.
 
+use webdeps::measure::pipeline::measure_world;
 use webdeps::model::rng::stable_hash;
 use webdeps::model::DetRng;
 use webdeps::worldgen::{SnapshotYear, World, WorldConfig};
@@ -82,6 +83,22 @@ fn pinned_world_checksums() {
         world_checksum(&w2016),
         0x5693_ec3b_577c_d9b2,
         "2016 snapshot world changed"
+    );
+}
+
+#[test]
+fn pinned_row_measurement_digest() {
+    // The full row dataset of a small world — every site's NS pairs,
+    // entity groups, CDN and CA observations, plus the inter-service
+    // provider measurements. Any change to the crawl, the classifiers,
+    // the witness bookkeeping, or the order rows and providers come out
+    // in shows up here, not only in the thread-count comparison of
+    // `tests/parallel_determinism.rs`.
+    let world = World::generate(WorldConfig::small(77));
+    let digest = stable_hash(&format!("{:?}", measure_world(&world)));
+    assert_eq!(
+        digest, 0x10ff_c593_8360_501d,
+        "row measurement dataset changed"
     );
 }
 

@@ -10,7 +10,7 @@
 use crate::classify::{san_covers, Classification, ClassifierKind, ClassifyCache, Evidence};
 use crate::dataset::{ProviderKey, SiteCdnMeasurement};
 use std::collections::HashMap;
-use webdeps_dns::{Dig, Resolver};
+use webdeps_dns::{Dig, Resolver, Soa};
 use webdeps_model::{DomainName, PublicSuffixList};
 use webdeps_web::{CnameToCdnMap, CrawlReport};
 use webdeps_worldgen::profiles::CdnProfile;
@@ -54,7 +54,9 @@ pub fn classify_site_cached(
     cache: &mut ClassifyCache,
 ) -> SiteCdnMeasurement {
     let san = report.certificate.as_ref().map(|c| c.san.as_slice());
-    let site_soa = Dig::new(resolver).soa_of(&report.site).ok();
+    // Only a detected CDN witness needs the site's SOA; most sites have
+    // none, so it is looked up on first use.
+    let mut site_soa: Option<Option<Soa>> = None;
 
     // Distinct (cdn key) → (classification, witness cname).
     let mut detected: HashMap<ProviderKey, Classification> = HashMap::new();
@@ -74,6 +76,8 @@ pub fn classify_site_cached(
         };
         let key = cache.provider_key(suffix, psl);
 
+        let site_soa =
+            &*site_soa.get_or_insert_with(|| Dig::new(resolver).soa_of(&report.site).ok());
         let witness_soa = Dig::new(resolver).soa_of(witness).ok();
         let ev = Evidence {
             site: &report.site,

@@ -1,18 +1,27 @@
 //! The end-to-end measurement pipeline.
 //!
 //! Drives the full §3 methodology over a generated world: crawl → DNS →
-//! CA → CDN → inter-service, and assembles a [`MeasurementDataset`].
+//! CA → CDN → inter-service. Both producers — the row
+//! [`MeasurementDataset`] of [`measure_world`] and the columnar
+//! [`ColumnarDataset`] of [`measure_world_columnar`] — run one sharded
+//! kernel and differ only in how a shard stores a classified site.
 //! The pipeline reads only the world's *wire surfaces* (DNS network,
 //! web plane, PKI, CNAME-to-CDN map, public-suffix list, site list);
 //! ground truth never flows in.
 
-use crate::classify::ClassifyCache;
-use crate::columnar::ColumnarDataset;
-use crate::dataset::{MeasurementDataset, ProviderKey, SiteMeasurement};
-use crate::{ca, cdn, dns, interservice};
+use crate::classify::{Classification, ClassifyCache};
+use crate::columnar::{checked_offset, ColumnarDataset};
+use crate::dataset::{
+    MeasurementDataset, ProviderKey, SiteCaMeasurement, SiteCdnMeasurement, SiteDnsMeasurement,
+    SiteMeasurement,
+};
+use crate::interservice::{self, ProviderMeasurement};
+use crate::{ca, cdn, dns};
 use std::collections::HashMap;
-use webdeps_model::{fan_out_chunked, timing, DomainName, Interner, NameId, SiteId};
-use webdeps_web::{CrawlReport, Crawler};
+use webdeps_model::{
+    fan_out_chunked, timing, DomainName, Interner, NameId, PublicSuffixList, SiteId,
+};
+use webdeps_web::{CrawlReport, Crawler, WebClient};
 use webdeps_worldgen::profiles::{CaProfile, CdnProfile, DepState};
 use webdeps_worldgen::{SiteListing, World};
 
@@ -28,8 +37,8 @@ use webdeps_worldgen::{SiteListing, World};
 /// Results are unchanged: the world, fault plan, and clock are static
 /// for the duration of a measurement pass, so re-resolving an evicted
 /// name reproduces the evicted answer exactly (pinned by the
-/// determinism checksums and the row-vs-columnar equality test).
-const RESOLVER_CACHE_BOUND: usize = 1 << 16;
+/// determinism digests and the row-vs-columnar equality test).
+pub(crate) const RESOLVER_CACHE_BOUND: usize = 1 << 16;
 
 /// Pipeline tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -39,12 +48,13 @@ pub struct MeasureConfig {
     pub threshold: usize,
     /// Optional cap on the number of sites measured (test runs).
     pub max_sites: Option<usize>,
-    /// Worker threads for the crawl/observation stage, resolved through
-    /// the workspace-wide knob ([`webdeps_model::par::resolve_jobs`]):
-    /// `0` = auto (`WEBDEPS_JOBS` env override, else detected
-    /// parallelism capped at [`webdeps_model::par::MAX_AUTO_JOBS`]).
-    /// Each worker runs its own client (own DNS + OCSP caches), so
-    /// results are identical at any thread count.
+    /// Worker threads for the observe and crawl/classify passes,
+    /// resolved through the workspace-wide knob
+    /// ([`webdeps_model::par::resolve_jobs`]): `0` = auto
+    /// (`WEBDEPS_JOBS` env override, else detected parallelism capped
+    /// at [`webdeps_model::par::MAX_AUTO_JOBS`]). Each worker runs its
+    /// own client (own DNS + OCSP caches), so results are identical at
+    /// any thread count.
     pub threads: usize,
 }
 
@@ -65,124 +75,30 @@ pub fn measure_world(world: &World) -> MeasurementDataset {
     measure_world_with(world, MeasureConfig::for_world(world))
 }
 
-/// Runs the complete pipeline.
+/// Runs the complete pipeline into row [`SiteMeasurement`]s — every
+/// site's NS pairs, entity groups, CDN and CA observations.
+///
+/// Two passes over the site list, both sharded on the deterministic
+/// fan-out with one client per worker:
+///
+/// 1. **Observe pass** — DNS observation only; per-shard nameserver
+///    tallies merge by summation (order-independent).
+/// 2. **Crawl/classify pass** — crawl + classify each site *inside its
+///    shard* against the global concentration map.
+///
+/// Shards then merge in shard (= site) order and the §3.4
+/// inter-service stage runs over the observed providers, so the
+/// dataset is identical at any worker count.
 pub fn measure_world_with(world: &World, config: MeasureConfig) -> MeasurementDataset {
-    let psl = &world.psl;
-    let mut listings = world.listings();
-    if let Some(cap) = config.max_sites {
-        listings.truncate(cap);
-    }
-
-    // Stages 1 + 2a: crawl every site and take its DNS observation
-    // (dig NS + SOAs). Sites are independent, so the work shards across
-    // the shared deterministic fan-out; each worker owns a client whose
-    // caches warm up on the shared provider infrastructure, and shards
-    // merge back in site order.
-    let per_site: Vec<(CrawlReport, Option<dns::DnsObservation>)> =
-        fan_out_chunked(&listings, config.threads, |shard| {
-            let mut client = world.client();
-            client.resolver_mut().bound_cache(RESOLVER_CACHE_BOUND);
-            shard
-                .iter()
-                .map(|l| {
-                    let report = Crawler::crawl(&mut client, &l.domain, &l.document_hosts, l.https);
-                    let obs = dns::observe_site(client.resolver_mut(), &l.domain);
-                    (report, obs)
-                })
-                .collect()
-        });
-    let mut reports: Vec<CrawlReport> = Vec::with_capacity(per_site.len());
-    let mut observations: Vec<Option<dns::DnsObservation>> = Vec::with_capacity(per_site.len());
-    for (report, obs) in per_site {
-        reports.push(report);
-        observations.push(obs);
-    }
-    let mut client = world.client();
-    client.resolver_mut().bound_cache(RESOLVER_CACHE_BOUND);
-
-    // Stage 2b: dataset-wide nameserver concentration.
-    let mut cache = ClassifyCache::new();
-    let concentration = dns::ns_concentration_cached(&observations, psl, &mut cache);
-
-    // Stages 2c–4: per-site classification.
-    let mut sites = Vec::with_capacity(listings.len());
-    let mut cdn_reps: HashMap<ProviderKey, (DomainName, usize)> = HashMap::new();
-    let mut ca_reps: HashMap<ProviderKey, (Vec<DomainName>, usize)> = HashMap::new();
-    let mut dns_direct: HashMap<ProviderKey, usize> = HashMap::new();
-    for ((listing, report), obs) in listings.iter().zip(&reports).zip(&observations) {
-        let san = report.certificate.as_ref().map(|c| c.san.as_slice());
-        let dns_m = match obs {
-            Some(obs) => dns::classify_site_cached(
-                obs,
-                san,
-                &concentration,
-                config.threshold,
-                psl,
-                &mut cache,
-            ),
-            None => crate::dataset::SiteDnsMeasurement {
-                pairs: Vec::new(),
-                groups: Vec::new(),
-                state: None,
-            },
-        };
-        let resolver = client.resolver_mut();
-        let ca_m = ca::classify_site_cached(report, resolver, psl, &mut cache);
-        let cdn_m = cdn::classify_site_cached(report, &world.cname_map, resolver, psl, &mut cache);
-
-        for key in dns_m.third_parties() {
-            *dns_direct.entry(key.clone()).or_default() += 1;
+    let (sites, providers) = measure_sharded(world, config, |shards: Vec<Vec<SiteMeasurement>>| {
+        // Later shards append to the first, whose buffer can grow in place.
+        let mut shards = shards.into_iter();
+        let mut sites = shards.next().unwrap_or_default();
+        for shard in shards {
+            sites.extend(shard);
         }
-        // Witness host: the first chain host under each detected CDN
-        // (the hostname list is built once per site, not once per CDN).
-        let hosts = if cdn_m.cdns.is_empty() {
-            Vec::new()
-        } else {
-            report.hostnames()
-        };
-        for (key, _) in &cdn_m.cdns {
-            let witness = hosts
-                .iter()
-                .filter_map(|h| report.chain_of(h))
-                .flat_map(|chain| chain.iter())
-                .find(|c| cache.registrable_str(c, psl) == Some(key.as_str()))
-                .cloned();
-            if let Some(w) = witness {
-                let entry = cdn_reps.entry(key.clone()).or_insert_with(|| (w, 0));
-                entry.1 += 1;
-            }
-        }
-        if let Some((key, _)) = &ca_m.ca {
-            let entry = ca_reps
-                .entry(key.clone())
-                .or_insert_with(|| (ca_m.ocsp_hosts.clone(), 0));
-            entry.1 += 1;
-        }
-
-        sites.push(SiteMeasurement {
-            id: listing.id,
-            rank: listing.rank,
-            domain: listing.domain.clone(),
-            reachable: report.reachable(),
-            dns: dns_m,
-            cdn: cdn_m,
-            ca: ca_m,
-        });
-    }
-
-    // Stage 5: inter-service measurement over the observed providers.
-    let resolver = client.resolver_mut();
-    let providers = interservice::measure_providers(
-        resolver,
-        &cdn_reps,
-        &ca_reps,
-        &dns_direct,
-        &concentration,
-        config.threshold,
-        &world.cname_map,
-        psl,
-    );
-
+        sites
+    });
     MeasurementDataset {
         sites,
         providers,
@@ -190,10 +106,106 @@ pub fn measure_world_with(world: &World, config: MeasureConfig) -> MeasurementDa
     }
 }
 
-/// One shard's streamed output: columnar rows keyed by a shard-local
-/// interner, plus the provider witness/count maps the §3.4 stage needs.
-/// Shards merge in site order, so the assembled dataset is identical at
-/// any worker count.
+/// Runs the streaming columnar pipeline with the world-default
+/// configuration. See [`measure_world_columnar_with`].
+pub fn measure_world_columnar(world: &World) -> ColumnarDataset {
+    measure_world_columnar_with(world, MeasureConfig::for_world(world))
+}
+
+/// Runs the complete pipeline straight into columnar arenas, never
+/// materializing a row [`MeasurementDataset`] — the 1M-site entry
+/// point.
+///
+/// The passes are [`measure_world_with`]'s, run by the same kernel;
+/// only the storage differs. Each shard emits columnar rows keyed by a
+/// shard-local interner, and serial assembly remaps those ids into the
+/// global arena in shard (= site) order. The result equals
+/// `ColumnarDataset::from_rows(&measure_world_with(world, config))` —
+/// pinned by `tests/parallel_determinism.rs` — at any worker count.
+pub fn measure_world_columnar_with(world: &World, config: MeasureConfig) -> ColumnarDataset {
+    let (mut out, providers) = measure_sharded(world, config, |shards: Vec<ShardColumns>| {
+        // Each shard's local interner assigned ids in first-seen site
+        // order, so remapping the shard name table *in id order* into
+        // the global arena reproduces exactly the interning order a
+        // serial site walk would — one hash probe per distinct shard
+        // name instead of one per site key.
+        let n_sites = shards.iter().map(|s| s.site_ids.len()).sum();
+        let mut out = ColumnarDataset::with_capacity(n_sites, config.threshold);
+        out.reserve_flat(
+            shards.iter().map(|s| s.dns_providers.len()).sum(),
+            shards.iter().map(|s| s.cdn_providers.len()).sum(),
+        );
+        let mut remap: Vec<NameId> = Vec::new();
+        for shard in shards {
+            remap.clear();
+            for name in shard.names.names() {
+                remap.push(out.intern_name(name));
+            }
+            for i in 0..shard.site_ids.len() {
+                out.push_site_interned(
+                    shard.site_ids[i],
+                    shard.dns_state[i],
+                    shard.cdn_state[i],
+                    shard.ca_state[i],
+                    shard.dns_ids_of(i).iter().map(|n| remap[n.index()]),
+                    shard.cdn_ids_of(i).iter().map(|n| remap[n.index()]),
+                    shard.ca_slot[i].map(|n| remap[n.index()]),
+                );
+            }
+        }
+        out
+    });
+    for pm in &providers {
+        out.push_provider(pm);
+    }
+    out
+}
+
+/// How a producer stores one classified site inside its shard — the
+/// only step in which the row and columnar producers differ.
+trait SiteSink: Send {
+    /// An empty store for a shard of `n` sites.
+    fn with_capacity(n: usize) -> Self;
+
+    /// Appends one site's classification, in site order.
+    fn push_site(
+        &mut self,
+        listing: &SiteListing,
+        reachable: bool,
+        dns: SiteDnsMeasurement,
+        cdn: SiteCdnMeasurement,
+        ca: SiteCaMeasurement,
+    );
+}
+
+impl SiteSink for Vec<SiteMeasurement> {
+    fn with_capacity(n: usize) -> Self {
+        Vec::with_capacity(n)
+    }
+
+    fn push_site(
+        &mut self,
+        listing: &SiteListing,
+        reachable: bool,
+        dns: SiteDnsMeasurement,
+        cdn: SiteCdnMeasurement,
+        ca: SiteCaMeasurement,
+    ) {
+        self.push(SiteMeasurement {
+            id: listing.id,
+            rank: listing.rank,
+            domain: listing.domain.clone(),
+            reachable,
+            dns,
+            cdn,
+            ca,
+        });
+    }
+}
+
+/// One shard's columnar rows, keyed by a shard-local interner. Only the
+/// third-party provider identities and the three states survive; no
+/// [`SiteMeasurement`] is ever kept.
 struct ShardColumns {
     names: Interner,
     site_ids: Vec<SiteId>,
@@ -208,9 +220,6 @@ struct ShardColumns {
     cdn_start: Vec<u32>,
     cdn_providers: Vec<NameId>,
     ca_slot: Vec<Option<NameId>>,
-    cdn_reps: Vec<(ProviderKey, (DomainName, usize))>,
-    ca_reps: Vec<(ProviderKey, (Vec<DomainName>, usize))>,
-    dns_direct: Vec<(ProviderKey, usize)>,
 }
 
 impl ShardColumns {
@@ -223,82 +232,82 @@ impl ShardColumns {
     }
 }
 
-/// Crawls and classifies one shard of listings against the pass-1
-/// observations, emitting columnar rows directly — no
-/// [`SiteMeasurement`] is ever built. The classification calls are
-/// byte-for-byte the ones `measure_world_with` makes (observations are
-/// deterministic, so reusing pass 1's instead of re-digging changes
-/// nothing), and the per-provider witness maps use the same
-/// first-witness-wins, counts-sum semantics (kept deterministic by
-/// recording entries in site order and merging shards in shard order).
-fn columnar_shard(
-    world: &World,
-    shard: &[(SiteListing, Option<dns::DnsObservation>)],
-    concentration: &HashMap<DomainName, usize>,
-    threshold: usize,
-) -> ShardColumns {
-    let psl = &world.psl;
-    let mut client = world.client();
-    client.resolver_mut().bound_cache(RESOLVER_CACHE_BOUND);
-    let mut cache = ClassifyCache::new();
-    let mut out = ShardColumns {
-        names: Interner::with_capacity(64),
-        site_ids: Vec::with_capacity(shard.len()),
-        dns_state: Vec::with_capacity(shard.len()),
-        cdn_state: Vec::with_capacity(shard.len()),
-        ca_state: Vec::with_capacity(shard.len()),
-        dns_start: {
-            let mut v = Vec::with_capacity(shard.len() + 1);
-            v.push(0);
-            v
-        },
-        dns_providers: Vec::new(),
-        cdn_start: {
-            let mut v = Vec::with_capacity(shard.len() + 1);
-            v.push(0);
-            v
-        },
-        cdn_providers: Vec::new(),
-        ca_slot: Vec::with_capacity(shard.len()),
-        cdn_reps: Vec::new(),
-        ca_reps: Vec::new(),
-        dns_direct: Vec::new(),
-    };
-    let mut cdn_rep_idx: HashMap<ProviderKey, usize> = HashMap::new();
-    let mut ca_rep_idx: HashMap<ProviderKey, usize> = HashMap::new();
-    let mut dns_direct_idx: HashMap<ProviderKey, usize> = HashMap::new();
-    for (listing, obs) in shard {
-        let report = Crawler::crawl(
-            &mut client,
-            &listing.domain,
-            &listing.document_hosts,
-            listing.https,
-        );
-        let san = report.certificate.as_ref().map(|c| c.san.as_slice());
-        let dns_m = match obs {
-            Some(obs) => {
-                dns::classify_site_cached(obs, san, concentration, threshold, psl, &mut cache)
-            }
-            None => crate::dataset::SiteDnsMeasurement {
-                pairs: Vec::new(),
-                groups: Vec::new(),
-                state: None,
-            },
-        };
-        let resolver = client.resolver_mut();
-        let ca_m = ca::classify_site_cached(&report, resolver, psl, &mut cache);
-        let cdn_m = cdn::classify_site_cached(&report, &world.cname_map, resolver, psl, &mut cache);
-
-        for key in dns_m.third_parties() {
-            match dns_direct_idx.get(key) {
-                Some(&i) => out.dns_direct[i].1 += 1,
-                None => {
-                    dns_direct_idx.insert(key.clone(), out.dns_direct.len());
-                    out.dns_direct.push((key.clone(), 1));
-                }
-            }
+impl SiteSink for ShardColumns {
+    fn with_capacity(n: usize) -> Self {
+        let mut dns_start = Vec::with_capacity(n + 1);
+        dns_start.push(0);
+        let mut cdn_start = Vec::with_capacity(n + 1);
+        cdn_start.push(0);
+        ShardColumns {
+            names: Interner::with_capacity(64),
+            site_ids: Vec::with_capacity(n),
+            dns_state: Vec::with_capacity(n),
+            cdn_state: Vec::with_capacity(n),
+            ca_state: Vec::with_capacity(n),
+            dns_start,
+            dns_providers: Vec::new(),
+            cdn_start,
+            cdn_providers: Vec::new(),
+            ca_slot: Vec::with_capacity(n),
         }
-        // Hostname list built once per site (not once per detected CDN).
+    }
+
+    fn push_site(
+        &mut self,
+        listing: &SiteListing,
+        _reachable: bool,
+        dns: SiteDnsMeasurement,
+        cdn: SiteCdnMeasurement,
+        ca: SiteCaMeasurement,
+    ) {
+        self.site_ids.push(listing.id);
+        self.dns_state.push(dns.state);
+        self.cdn_state.push(cdn.state);
+        self.ca_state.push(ca.state);
+        self.dns_providers
+            .extend(dns.third_parties().map(|k| self.names.intern(k.as_str())));
+        self.dns_start
+            .push(checked_offset(self.dns_providers.len()));
+        self.cdn_providers
+            .extend(cdn.third_parties().map(|k| self.names.intern(k.as_str())));
+        self.cdn_start
+            .push(checked_offset(self.cdn_providers.len()));
+        self.ca_slot.push(match &ca.ca {
+            Some((key, Classification::ThirdParty)) => Some(self.names.intern(key.as_str())),
+            _ => None,
+        });
+    }
+}
+
+/// The per-provider bookkeeping the §3.4 inter-service stage needs: a
+/// witness per observed CDN and CA, and every provider's site count.
+#[derive(Default)]
+struct Witnesses {
+    /// CDN → (first chain host under it, sites using it).
+    cdn_reps: HashMap<ProviderKey, (DomainName, usize)>,
+    /// CA → (OCSP hosts of its first site, sites using it).
+    ca_reps: HashMap<ProviderKey, (Vec<DomainName>, usize)>,
+    /// Third-party DNS provider → sites using it.
+    dns_direct: HashMap<ProviderKey, usize>,
+}
+
+impl Witnesses {
+    /// Records one classified site; the first site to show a provider
+    /// supplies its witness.
+    fn record(
+        &mut self,
+        report: &CrawlReport,
+        dns_m: &SiteDnsMeasurement,
+        cdn_m: &SiteCdnMeasurement,
+        ca_m: &SiteCaMeasurement,
+        cache: &mut ClassifyCache,
+        psl: &PublicSuffixList,
+    ) {
+        for key in dns_m.third_parties() {
+            *self.dns_direct.entry(key.clone()).or_default() += 1;
+        }
+        // Witness host: the first chain host under each detected CDN
+        // (the hostname list is built once per site, not once per CDN).
         let hosts = if cdn_m.cdns.is_empty() {
             Vec::new()
         } else {
@@ -309,101 +318,91 @@ fn columnar_shard(
                 .iter()
                 .filter_map(|h| report.chain_of(h))
                 .flat_map(|chain| chain.iter())
-                .find(|c| cache.registrable_str(c, psl) == Some(key.as_str()))
-                .cloned();
+                .find(|c| cache.registrable_str(c, psl) == Some(key.as_str()));
             if let Some(w) = witness {
-                match cdn_rep_idx.get(key) {
-                    Some(&i) => out.cdn_reps[i].1 .1 += 1,
-                    None => {
-                        cdn_rep_idx.insert(key.clone(), out.cdn_reps.len());
-                        out.cdn_reps.push((key.clone(), (w, 1)));
-                    }
-                }
+                let entry = self
+                    .cdn_reps
+                    .entry(key.clone())
+                    .or_insert_with(|| (w.clone(), 0));
+                entry.1 += 1;
             }
         }
         if let Some((key, _)) = &ca_m.ca {
-            match ca_rep_idx.get(key) {
-                Some(&i) => out.ca_reps[i].1 .1 += 1,
-                None => {
-                    ca_rep_idx.insert(key.clone(), out.ca_reps.len());
-                    out.ca_reps
-                        .push((key.clone(), (ca_m.ocsp_hosts.clone(), 1)));
-                }
-            }
+            let entry = self
+                .ca_reps
+                .entry(key.clone())
+                .or_insert_with(|| (ca_m.ocsp_hosts.clone(), 0));
+            entry.1 += 1;
         }
-
-        out.site_ids.push(listing.id);
-        out.dns_state.push(dns_m.state);
-        out.cdn_state.push(cdn_m.state);
-        out.ca_state.push(ca_m.state);
-        out.dns_providers
-            .extend(dns_m.third_parties().map(|k| out.names.intern(k.as_str())));
-        out.dns_start
-            .push(crate::columnar::checked_offset(out.dns_providers.len()));
-        out.cdn_providers
-            .extend(cdn_m.third_parties().map(|k| out.names.intern(k.as_str())));
-        out.cdn_start
-            .push(crate::columnar::checked_offset(out.cdn_providers.len()));
-        out.ca_slot.push(match &ca_m.ca {
-            Some((key, crate::classify::Classification::ThirdParty)) => {
-                Some(out.names.intern(key.as_str()))
-            }
-            _ => None,
-        });
     }
-    out
+
+    /// Folds in the witnesses of a *later* shard: witnesses already
+    /// recorded win, counts sum — what one serial walk would record.
+    fn merge(&mut self, later: Witnesses) {
+        // lint:allow(hash-iter) — a key occurs once per shard and shards
+        // merge in shard order, so neither the surviving witness nor any
+        // summed count depends on the map's iteration order.
+        for (key, (witness, n)) in later.cdn_reps {
+            self.cdn_reps.entry(key).or_insert((witness, 0)).1 += n;
+        }
+        // lint:allow(hash-iter) — one entry per key per shard, merged in
+        // shard order (see above).
+        for (key, (hosts, n)) in later.ca_reps {
+            self.ca_reps.entry(key).or_insert((hosts, 0)).1 += n;
+        }
+        // lint:allow(hash-iter) — counts merge by summation, which is
+        // order-independent.
+        for (key, n) in later.dns_direct {
+            *self.dns_direct.entry(key).or_default() += n;
+        }
+    }
 }
 
-/// Runs the streaming columnar pipeline with the world-default
-/// configuration. See [`measure_world_columnar_with`].
-pub fn measure_world_columnar(world: &World) -> ColumnarDataset {
-    measure_world_columnar_with(world, MeasureConfig::for_world(world))
+/// A crawl-path client whose resolver cache is bounded.
+fn bounded_client(world: &World) -> WebClient<'_> {
+    let mut client = world.client();
+    client.resolver_mut().bound_cache(RESOLVER_CACHE_BOUND);
+    client
 }
 
-/// Runs the complete pipeline straight into columnar arenas, never
-/// materializing a row [`MeasurementDataset`] — the 1M-site entry
-/// point.
+/// The one measurement kernel behind both producers.
 ///
-/// Two passes over the site list, both sharded on the deterministic
-/// fan-out:
+/// 1. **Observe** every site's NS set and SOAs; nameserver concentration
+///    is tallied per shard and summed.
+/// 2. **Crawl and classify** every site inside its shard against the
+///    global concentration map, storing it through `S` and recording
+///    provider witnesses.
+/// 3. **Assemble** in shard (= site) order: `assemble` joins the
+///    shards' sites; witnesses merge first-wins, counts sum.
+/// 4. Measure the observed providers' inter-service dependencies.
 ///
-/// 1. **Concentration pass** — DNS observation only; per-shard
-///    nameserver tallies merge by summation (order-independent).
-/// 2. **Classification pass** — crawl + observe + classify each site
-///    *inside its shard* against the global concentration map, emitting
-///    columnar rows keyed by a shard-local interner.
-///
-/// Serial assembly then remaps shard-local name ids into the global
-/// arena in shard order (= site order) and runs the §3.4 inter-service
-/// stage. The result equals
-/// `ColumnarDataset::from_rows(&measure_world_with(world, config))` —
-/// pinned by `tests/parallel_determinism.rs` — at any worker count.
-pub fn measure_world_columnar_with(world: &World, config: MeasureConfig) -> ColumnarDataset {
+/// Every pass shards on the deterministic fan-out with one client per
+/// worker, so the output is identical at any worker count.
+fn measure_sharded<S: SiteSink, D>(
+    world: &World,
+    config: MeasureConfig,
+    assemble: impl FnOnce(Vec<S>) -> D,
+) -> (D, Vec<ProviderMeasurement>) {
     let psl = &world.psl;
     let mut listings = world.listings();
     if let Some(cap) = config.max_sites {
         listings.truncate(cap);
     }
 
-    // Pass 1: observe every site and tally dataset-wide nameserver
-    // concentration (each worker owns a client; tallies sum across
-    // shards). Observations are kept — pass 2 classifies against them
+    // Pass 1. Observations are kept: pass 2 classifies against them
     // instead of re-digging every site.
     let observe_scope = timing::scope("measure/observe");
-    let n_sites = listings.len();
     let partials = fan_out_chunked(&listings, config.threads, |shard| {
-        let mut client = world.client();
-        client.resolver_mut().bound_cache(RESOLVER_CACHE_BOUND);
-        let mut cache = ClassifyCache::new();
+        let mut client = bounded_client(world);
         let observations: Vec<Option<dns::DnsObservation>> = shard
             .iter()
             .map(|l| dns::observe_site(client.resolver_mut(), &l.domain))
             .collect();
-        let counts = dns::ns_concentration_cached(&observations, psl, &mut cache);
+        let counts = dns::ns_concentration_cached(&observations, psl, &mut ClassifyCache::new());
         vec![(observations, counts)]
     });
     let mut concentration: HashMap<DomainName, usize> = HashMap::new();
-    let mut observations: Vec<Option<dns::DnsObservation>> = Vec::with_capacity(n_sites);
+    let mut observations: Vec<Option<dns::DnsObservation>> = Vec::with_capacity(listings.len());
     for (obs, partial) in partials {
         observations.extend(obs);
         for (host, n) in partial {
@@ -412,95 +411,73 @@ pub fn measure_world_columnar_with(world: &World, config: MeasureConfig) -> Colu
     }
     drop(observe_scope);
 
-    // Pass 2: classify in-shard, stream out columns. Listings and their
-    // pass-1 observations shard together, so chunk boundaries stay
-    // aligned with pass 1 at any worker count.
+    // Pass 2. Listings and their pass-1 observations shard together, so
+    // chunk boundaries stay aligned with pass 1 at any worker count.
     let classify_scope = timing::scope("measure/classify");
     let items: Vec<(SiteListing, Option<dns::DnsObservation>)> =
         listings.into_iter().zip(observations).collect();
     let shards = fan_out_chunked(&items, config.threads, |shard| {
-        vec![columnar_shard(
-            world,
-            shard,
-            &concentration,
-            config.threshold,
-        )]
+        let mut client = bounded_client(world);
+        let mut cache = ClassifyCache::new();
+        let mut sites = S::with_capacity(shard.len());
+        let mut witnesses = Witnesses::default();
+        for (listing, obs) in shard {
+            let report = Crawler::crawl(
+                &mut client,
+                &listing.domain,
+                &listing.document_hosts,
+                listing.https,
+            );
+            let san = report.certificate.as_ref().map(|c| c.san.as_slice());
+            let dns_m = match obs {
+                Some(obs) => dns::classify_site_cached(
+                    obs,
+                    san,
+                    &concentration,
+                    config.threshold,
+                    psl,
+                    &mut cache,
+                ),
+                None => SiteDnsMeasurement {
+                    pairs: Vec::new(),
+                    groups: Vec::new(),
+                    state: None,
+                },
+            };
+            let resolver = client.resolver_mut();
+            let ca_m = ca::classify_site_cached(&report, resolver, psl, &mut cache);
+            let cdn_m =
+                cdn::classify_site_cached(&report, &world.cname_map, resolver, psl, &mut cache);
+            witnesses.record(&report, &dns_m, &cdn_m, &ca_m, &mut cache, psl);
+            sites.push_site(listing, report.reachable(), dns_m, cdn_m, ca_m);
+        }
+        vec![(sites, witnesses)]
     });
     drop(classify_scope);
     drop(items);
 
-    // Serial assembly in shard (= site) order. Each shard's local
-    // interner assigned ids in first-seen site order, so remapping the
-    // shard name table *in id order* into the global arena reproduces
-    // exactly the interning order a serial site walk would — one hash
-    // probe per distinct shard name instead of one per site key, and no
-    // per-site scratch `Vec`s at all.
     let assemble_scope = timing::scope("measure/assemble");
-    let mut out = ColumnarDataset::with_capacity(n_sites, config.threshold);
-    out.reserve_flat(
-        shards.iter().map(|s| s.dns_providers.len()).sum(),
-        shards.iter().map(|s| s.cdn_providers.len()).sum(),
-    );
-    let mut cdn_reps: HashMap<ProviderKey, (DomainName, usize)> = HashMap::new();
-    let mut ca_reps: HashMap<ProviderKey, (Vec<DomainName>, usize)> = HashMap::new();
-    let mut dns_direct: HashMap<ProviderKey, usize> = HashMap::new();
-    let mut remap: Vec<NameId> = Vec::new();
-    for shard in shards {
-        remap.clear();
-        for name in shard.names.names() {
-            remap.push(out.intern_name(name));
-        }
-        for i in 0..shard.site_ids.len() {
-            out.push_site_interned(
-                shard.site_ids[i],
-                shard.dns_state[i],
-                shard.cdn_state[i],
-                shard.ca_state[i],
-                shard.dns_ids_of(i).iter().map(|n| remap[n.index()]),
-                shard.cdn_ids_of(i).iter().map(|n| remap[n.index()]),
-                shard.ca_slot[i].map(|n| remap[n.index()]),
-            );
-        }
-        // First-witness-wins across shards in shard order — the same
-        // entry the serial loop would have recorded first.
-        // lint:allow(hash-iter) — shard.cdn_reps is the shard's
-        // insertion-ordered Vec of rep entries, not the local map.
-        for (key, (witness, n)) in shard.cdn_reps {
-            let entry = cdn_reps.entry(key).or_insert_with(|| (witness, 0));
-            entry.1 += n;
-        }
-        // lint:allow(hash-iter) — shard.ca_reps is the shard's
-        // insertion-ordered Vec, not the local map.
-        for (key, (hosts, n)) in shard.ca_reps {
-            let entry = ca_reps.entry(key).or_insert_with(|| (hosts, 0));
-            entry.1 += n;
-        }
-        // lint:allow(hash-iter) — shard.dns_direct is the shard's
-        // insertion-ordered Vec; counts merge commutatively anyway.
-        for (key, n) in shard.dns_direct {
-            *dns_direct.entry(key).or_default() += n;
-        }
+    let mut witnesses = Witnesses::default();
+    let mut site_shards = Vec::with_capacity(shards.len());
+    for (sites, shard_witnesses) in shards {
+        witnesses.merge(shard_witnesses);
+        site_shards.push(sites);
     }
+    let dataset = assemble(site_shards);
     drop(assemble_scope);
 
-    // Stage 5: inter-service measurement over the observed providers.
     let _interservice_scope = timing::scope("measure/interservice");
-    let mut client = world.client();
-    client.resolver_mut().bound_cache(RESOLVER_CACHE_BOUND);
     let providers = interservice::measure_providers(
-        client.resolver_mut(),
-        &cdn_reps,
-        &ca_reps,
-        &dns_direct,
+        bounded_client(world).resolver_mut(),
+        &witnesses.cdn_reps,
+        &witnesses.ca_reps,
+        &witnesses.dns_direct,
         &concentration,
         config.threshold,
         &world.cname_map,
         psl,
     );
-    for pm in &providers {
-        out.push_provider(pm);
-    }
-    out
+    (dataset, providers)
 }
 
 #[cfg(test)]
@@ -710,36 +687,6 @@ mod tests {
             },
         );
         assert_eq!(ds.sites.len(), 50);
-    }
-
-    #[test]
-    fn parallel_and_serial_measurements_agree() {
-        let world = World::generate(WorldConfig::small(79));
-        let serial = measure_world_with(
-            &world,
-            MeasureConfig {
-                threshold: 3,
-                max_sites: Some(400),
-                threads: 1,
-            },
-        );
-        let parallel = measure_world_with(
-            &world,
-            MeasureConfig {
-                threshold: 3,
-                max_sites: Some(400),
-                threads: 8,
-            },
-        );
-        assert_eq!(serial.sites.len(), parallel.sites.len());
-        for (a, b) in serial.sites.iter().zip(parallel.sites.iter()) {
-            assert_eq!(a.domain, b.domain);
-            assert_eq!(a.dns.state, b.dns.state);
-            assert_eq!(a.cdn.state, b.cdn.state);
-            assert_eq!(a.ca.state, b.ca.state);
-            assert_eq!(a.ca.stapled, b.ca.stapled);
-        }
-        assert_eq!(serial.providers.len(), parallel.providers.len());
     }
 
     #[test]

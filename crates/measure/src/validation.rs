@@ -119,7 +119,12 @@ pub fn validate_world(world: &World, sample_size: usize, seed: u64) -> Validatio
     let mut rng = DetRng::new(seed ^ 0x7A11DA7E);
     let indices = rng.sample_indices(listings.len(), sample_size);
 
+    // Bounded like the pipeline's clients: the concentration pass below
+    // digs every site once, so an unbounded cache only accumulates.
     let mut client = world.client();
+    client
+        .resolver_mut()
+        .bound_cache(crate::pipeline::RESOLVER_CACHE_BOUND);
     let mut dns_tallies: HashMap<ClassifierKind, Tally> = ClassifierKind::ALL
         .iter()
         .map(|&k| (k, Tally::new()))

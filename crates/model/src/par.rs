@@ -98,11 +98,11 @@ where
                 s.spawn(move || fr(part))
             })
             .collect();
-        let mut merged = Vec::with_capacity(items.len());
+        let mut parts = Vec::with_capacity(handles.len());
         let mut panicked = None;
         for h in handles {
             match h.join() {
-                Ok(part) => merged.extend(part),
+                Ok(part) => parts.push(part),
                 // Handles are joined in chunk order; keep the first
                 // payload so later panics cannot mask the one a serial
                 // run would have surfaced.
@@ -115,6 +115,12 @@ where
         }
         if let Some(payload) = panicked {
             std::panic::resume_unwind(payload);
+        }
+        // Sized from the parts, not the items: a per-chunk aggregation
+        // returns one (possibly large) result per chunk, not per item.
+        let mut merged = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+        for part in parts {
+            merged.extend(part);
         }
         merged
     })
@@ -426,7 +432,9 @@ mod tests {
         for jobs in [1, 2, 4, 9] {
             let partials =
                 fan_out_chunked(&items, jobs, |part| vec![part.iter().copied().sum::<u64>()]);
-            assert!(partials.len() <= jobs.max(1));
+            assert_eq!(partials.len(), jobs, "jobs={jobs}");
+            // One slot per chunk, not one per item.
+            assert_eq!(partials.capacity(), partials.len(), "jobs={jobs}");
             assert_eq!(partials.iter().sum::<u64>(), 5_050, "jobs={jobs}");
         }
     }

@@ -12,6 +12,9 @@ cargo build --release --offline
 echo "== cargo test -q --offline =="
 cargo test -q --offline
 
+echo "== cargo test --workspace -q --offline (every crate's own tests) =="
+cargo test --workspace -q --offline
+
 echo "== parallel determinism (byte-identical results at any worker count) =="
 cargo test -q --offline --test parallel_determinism
 

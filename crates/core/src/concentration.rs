@@ -6,9 +6,9 @@
 //! use the service at all.
 
 use crate::reach::SiteSet;
-use std::collections::HashSet;
+use std::collections::HashMap;
 use webdeps_measure::{ColumnarDataset, MeasurementDataset, ProviderKey, SiteMeasurement};
-use webdeps_model::{fan_out_chunked, NameId, ServiceKind, SiteId};
+use webdeps_model::{NameId, ServiceKind, SiteId};
 
 /// One point of the coverage curve.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,161 +34,133 @@ fn site_providers(site: &SiteMeasurement, kind: ServiceKind) -> Vec<&ProviderKey
     }
 }
 
-/// Per-provider direct consumer sets for one service kind. Extraction
-/// fans site shards across workers (each building a partial map); the
-/// partials are unioned — set union is order-independent — and the
-/// final ordering is a total sort, so the result is identical at any
-/// worker count.
-fn consumer_sets(
-    ds: &MeasurementDataset,
-    kind: ServiceKind,
-) -> Vec<(ProviderKey, HashSet<SiteId>)> {
-    use std::collections::HashMap;
-    let sites = &ds.sites;
-    let idxs: Vec<usize> = (0..sites.len()).collect();
-    let partials = fan_out_chunked(&idxs, 0, |shard| {
-        let mut map: HashMap<&ProviderKey, HashSet<SiteId>> = HashMap::new();
-        for &i in shard {
-            let site = &sites[i];
-            for key in site_providers(site, kind) {
-                map.entry(key).or_default().insert(site.id);
-            }
-        }
-        vec![map]
-    });
-    let mut map: HashMap<&ProviderKey, HashSet<SiteId>> = HashMap::new();
-    for partial in partials {
-        for (key, set) in partial {
-            map.entry(key).or_default().extend(set);
-        }
-    }
-    let mut sets: Vec<_> = map.into_iter().map(|(k, s)| (k.clone(), s)).collect();
-    sets.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(&b.0)));
-    sets
-}
-
-/// The full coverage curve for a service: point `i` is the union
+/// The one coverage kernel, in O(edges): takes each provider's consumer
+/// sites (listed in site order), orders providers by a total sort —
+/// distinct consumers descending, then key ascending — and sweeps them
+/// once into a single covered-site bitmap. Point `i` is the union
 /// coverage of the top `i+1` providers.
-pub fn coverage_curve(ds: &MeasurementDataset, kind: ServiceKind) -> Vec<CoveragePoint> {
-    let sets = consumer_sets(ds, kind);
-    let total: HashSet<SiteId> = sets.iter().flat_map(|(_, s)| s.iter().copied()).collect();
-    if total.is_empty() {
-        return Vec::new();
+fn curve_from_consumers(mut consumers: Vec<(ProviderKey, Vec<SiteId>)>) -> Vec<CoveragePoint> {
+    for (_, sites) in &mut consumers {
+        // A site's repeats of one provider are adjacent in its list.
+        sites.dedup();
     }
-    let mut covered: HashSet<SiteId> = HashSet::new();
-    let mut out = Vec::with_capacity(sets.len());
-    for (i, (key, consumers)) in sets.into_iter().enumerate() {
-        covered.extend(consumers);
-        out.push(CoveragePoint {
+    consumers.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then_with(|| a.0.cmp(&b.0)));
+    let mut covered = SiteSet::default();
+    let mut total = 0usize;
+    let mut running = Vec::with_capacity(consumers.len());
+    for (_, sites) in &consumers {
+        for &site in sites {
+            if !covered.contains(site) {
+                covered.insert(site);
+                total += 1;
+            }
+        }
+        running.push(total);
+    }
+    consumers
+        .into_iter()
+        .zip(running)
+        .enumerate()
+        .map(|(i, ((key, _), n))| CoveragePoint {
             providers: i + 1,
-            coverage: covered.len() as f64 / total.len() as f64,
+            coverage: n as f64 / total as f64,
             key,
-        });
-    }
-    out
+        })
+        .collect()
 }
 
-/// The number of providers needed to cover `fraction` of the
-/// service-using sites — the paper's "54 providers serve 80% in 2020
-/// vs 2 705 in 2016" statistic.
-pub fn providers_for_coverage(ds: &MeasurementDataset, kind: ServiceKind, fraction: f64) -> usize {
-    coverage_curve(ds, kind)
-        .iter()
-        .position(|p| p.coverage >= fraction)
-        .map(|i| i + 1)
-        .unwrap_or(0)
-}
-
-/// Per-provider direct consumer sets over a columnar dataset: dense
-/// `NameId`-indexed [`SiteSet`] bitsets built per shard and merged by
-/// bitwise union. Union and popcount are order-independent, and the
-/// final ordering is the same total sort the row path uses (consumer
-/// count descending, then provider key ascending), so the curve is
-/// identical to [`coverage_curve`] at any worker count.
-fn consumer_sets_columnar(cds: &ColumnarDataset, kind: ServiceKind) -> Vec<(NameId, SiteSet)> {
-    let bound = cds.site_id_bound();
-    let idxs: Vec<usize> = (0..cds.len()).collect();
-    let partials = fan_out_chunked(&idxs, 0, |shard| {
-        let mut sets: Vec<Option<SiteSet>> = vec![None; cds.names_len()];
-        for &i in shard {
-            let id = cds.site_id(i);
-            for &name in cds.site_providers(i, kind) {
-                sets[name.index()]
-                    .get_or_insert_with(|| SiteSet::with_bound(bound))
-                    .insert(id);
-            }
-        }
-        vec![sets]
-    });
-    let mut merged: Vec<Option<SiteSet>> = vec![None; cds.names_len()];
-    for partial in partials {
-        for (slot, set) in merged.iter_mut().zip(partial) {
-            if let Some(set) = set {
-                match slot {
-                    Some(acc) => acc.union_with(&set),
-                    None => *slot = Some(set),
-                }
-            }
+/// The full coverage curve for a service over row measurements.
+pub fn coverage_curve(ds: &MeasurementDataset, kind: ServiceKind) -> Vec<CoveragePoint> {
+    let mut slots: HashMap<&ProviderKey, usize> = HashMap::new();
+    let mut consumers: Vec<(ProviderKey, Vec<SiteId>)> = Vec::new();
+    for site in &ds.sites {
+        for key in site_providers(site, kind) {
+            let slot = *slots.entry(key).or_insert_with(|| {
+                consumers.push((key.clone(), Vec::new()));
+                consumers.len() - 1
+            });
+            consumers[slot].1.push(site.id);
         }
     }
-    let mut sets: Vec<(NameId, SiteSet)> = merged
+    curve_from_consumers(consumers)
+}
+
+/// [`coverage_curve`] over columnar arenas: the consumer lists are
+/// indexed by interned provider name. Produces byte-identical points to
+/// the row path.
+pub fn coverage_curve_columnar(cds: &ColumnarDataset, kind: ServiceKind) -> Vec<CoveragePoint> {
+    let mut lists: Vec<Vec<SiteId>> = vec![Vec::new(); cds.names_len()];
+    for i in 0..cds.len() {
+        for &name in cds.site_providers(i, kind) {
+            lists[name.index()].push(cds.site_id(i));
+        }
+    }
+    let consumers = lists
         .into_iter()
         .enumerate()
-        .filter_map(|(i, s)| Some((NameId::from_index(i), s?)))
+        .filter(|(_, sites)| !sites.is_empty())
+        .map(|(i, sites)| (ProviderKey::new(cds.name(NameId::from_index(i))), sites))
         .collect();
-    sets.sort_by(|a, b| {
-        b.1.count()
-            .cmp(&a.1.count())
-            .then_with(|| cds.name(a.0).cmp(cds.name(b.0)))
-    });
-    sets
+    curve_from_consumers(consumers)
 }
 
-/// [`coverage_curve`] streamed over columnar arenas: the per-provider
-/// consumer sets are bitsets and coverage is a running popcount of
-/// their union. Produces byte-identical points to the row path.
-pub fn coverage_curve_columnar(cds: &ColumnarDataset, kind: ServiceKind) -> Vec<CoveragePoint> {
-    let sets = consumer_sets_columnar(cds, kind);
-    let bound = cds.site_id_bound();
-    let mut total = SiteSet::with_bound(bound);
-    for (_, s) in &sets {
-        total.union_with(s);
-    }
-    let total = total.count();
-    if total == 0 {
-        return Vec::new();
-    }
-    let mut covered = SiteSet::with_bound(bound);
-    let mut out = Vec::with_capacity(sets.len());
-    for (i, (name, consumers)) in sets.into_iter().enumerate() {
-        covered.union_with(&consumers);
-        out.push(CoveragePoint {
-            providers: i + 1,
-            coverage: covered.count() as f64 / total as f64,
-            key: ProviderKey::new(cds.name(name)),
-        });
-    }
-    out
-}
-
-/// [`providers_for_coverage`] over columnar arenas.
-pub fn providers_for_coverage_columnar(
-    cds: &ColumnarDataset,
-    kind: ServiceKind,
-    fraction: f64,
-) -> usize {
-    coverage_curve_columnar(cds, kind)
+/// The number of top providers on `curve` needed to cover `fraction` of
+/// the service-using sites (0 when no point reaches it) — the paper's
+/// "54 providers serve 80% in 2020 vs 2 705 in 2016" statistic.
+pub fn providers_for_coverage(curve: &[CoveragePoint], fraction: f64) -> usize {
+    curve
         .iter()
-        .position(|p| p.coverage >= fraction)
-        .map(|i| i + 1)
-        .unwrap_or(0)
+        .find(|p| p.coverage >= fraction)
+        .map_or(0, |p| p.providers)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use webdeps_measure::measure_world;
     use webdeps_worldgen::{World, WorldConfig};
+
+    /// The naive oracle: a `HashSet` of consumers per provider, in the
+    /// kernel's order, with coverage as the size of their running union.
+    fn naive_coverage_curve(ds: &MeasurementDataset, kind: ServiceKind) -> Vec<CoveragePoint> {
+        let mut map: HashMap<&ProviderKey, HashSet<SiteId>> = HashMap::new();
+        for site in &ds.sites {
+            for key in site_providers(site, kind) {
+                map.entry(key).or_default().insert(site.id);
+            }
+        }
+        let mut sets: Vec<_> = map.into_iter().map(|(k, s)| (k.clone(), s)).collect();
+        sets.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(&b.0)));
+        let total: HashSet<SiteId> = sets.iter().flat_map(|(_, s)| s.iter().copied()).collect();
+        let mut covered: HashSet<SiteId> = HashSet::new();
+        let mut out = Vec::with_capacity(sets.len());
+        for (i, (key, consumers)) in sets.into_iter().enumerate() {
+            covered.extend(consumers);
+            out.push(CoveragePoint {
+                providers: i + 1,
+                coverage: covered.len() as f64 / total.len() as f64,
+                key,
+            });
+        }
+        out
+    }
+
+    #[test]
+    fn kernel_matches_naive_oracle() {
+        for seed in [37, 99] {
+            let ds = measure_world(&World::generate(WorldConfig::small(seed)));
+            for kind in [ServiceKind::Dns, ServiceKind::Cdn, ServiceKind::Ca] {
+                let curve = coverage_curve(&ds, kind);
+                assert!(!curve.is_empty(), "seed {seed} {kind}: no providers");
+                assert_eq!(
+                    curve,
+                    naive_coverage_curve(&ds, kind),
+                    "seed {seed} {kind}: kernel diverges from the naive union"
+                );
+            }
+        }
+    }
 
     #[test]
     fn curve_is_monotone_and_ends_at_one() {
@@ -213,13 +185,14 @@ mod tests {
         let world = World::generate(WorldConfig::small(37));
         let ds = measure_world(&world);
         // 2020: concentrated markets everywhere.
-        let dns80 = providers_for_coverage(&ds, ServiceKind::Dns, 0.8);
-        let cdn80 = providers_for_coverage(&ds, ServiceKind::Cdn, 0.8);
-        let ca80 = providers_for_coverage(&ds, ServiceKind::Ca, 0.8);
+        let dns = coverage_curve(&ds, ServiceKind::Dns);
+        let dns80 = providers_for_coverage(&dns, 0.8);
+        let cdn80 = providers_for_coverage(&coverage_curve(&ds, ServiceKind::Cdn), 0.8);
+        let ca80 = providers_for_coverage(&coverage_curve(&ds, ServiceKind::Ca), 0.8);
         assert!(dns80 > 0 && cdn80 > 0 && ca80 > 0);
         assert!(ca80 <= 8, "CA market is the most concentrated: {ca80}");
         assert!(cdn80 <= 12, "CDN market: {cdn80}");
-        let dns_total = coverage_curve(&ds, ServiceKind::Dns).len();
+        let dns_total = dns.len();
         assert!(
             dns80 < dns_total / 2,
             "DNS: top providers dominate ({dns80}/{dns_total})"
@@ -230,8 +203,9 @@ mod tests {
     fn cloud_kind_is_empty() {
         let world = World::generate(WorldConfig::small(37));
         let ds = measure_world(&world);
-        assert!(coverage_curve(&ds, ServiceKind::Cloud).is_empty());
-        assert_eq!(providers_for_coverage(&ds, ServiceKind::Cloud, 0.8), 0);
+        let curve = coverage_curve(&ds, ServiceKind::Cloud);
+        assert!(curve.is_empty());
+        assert_eq!(providers_for_coverage(&curve, 0.8), 0);
     }
 
     #[test]
@@ -249,10 +223,6 @@ mod tests {
                 coverage_curve_columnar(&cds, kind),
                 coverage_curve(&ds, kind),
                 "{kind}: columnar curve diverges from rows"
-            );
-            assert_eq!(
-                providers_for_coverage_columnar(&cds, kind, 0.8),
-                providers_for_coverage(&ds, kind, 0.8)
             );
         }
     }

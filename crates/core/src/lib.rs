@@ -33,8 +33,7 @@ pub mod resilience;
 pub mod stats;
 
 pub use concentration::{
-    coverage_curve, coverage_curve_columnar, providers_for_coverage,
-    providers_for_coverage_columnar, CoveragePoint,
+    coverage_curve, coverage_curve_columnar, providers_for_coverage, CoveragePoint,
 };
 pub use dot::{to_dot, DotOptions};
 pub use evolution::{ca_trends, cdn_trends, dns_trends, provider_trends, TrendTable};

@@ -102,7 +102,7 @@ pub const RULES: &[RuleInfo] = &[
         severity: Severity::Deny,
         summary: "no discarding (statement position or `let _ =`) of workspace calls returning Result/Report",
         rationale: "Dropping a Result silently swallows the failure path; the measurement keeps running on partial state and publishes wrong numbers. Handle the error, bind the value, or propagate with ?.",
-        example: "validate_world(&world);",
+        example: "simulate_outage(&world, &[\"dyn.com\"], true);",
         allow_hint: "stmt; // lint:allow(result-dropped) — <why the error is ignorable>",
     },
     RuleInfo {

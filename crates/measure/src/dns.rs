@@ -9,7 +9,7 @@
 //! redundancy.
 
 use crate::classify::{Classification, ClassifierKind, ClassifyCache, Evidence};
-use crate::dataset::{NsGroup, NsPair, ProviderKey, SiteDnsMeasurement};
+use crate::dataset::{MeasurementDataset, NsGroup, NsPair, ProviderKey, SiteDnsMeasurement};
 use std::collections::HashMap;
 use webdeps_dns::{Dig, Resolver, Soa};
 use webdeps_model::{DomainName, PublicSuffixList};
@@ -62,11 +62,45 @@ pub fn ns_concentration_cached(
     psl: &PublicSuffixList,
     cache: &mut ClassifyCache,
 ) -> HashMap<DomainName, usize> {
+    count_ns_sites(
+        observations.iter().flatten().map(|obs| &obs.ns_hosts),
+        psl,
+        cache,
+    )
+}
+
+/// [`ns_concentration`] read back from a measured dataset: every site's
+/// [`SiteDnsMeasurement::pairs`] carry its observed nameserver hosts, so
+/// the counts equal those of the measurement's own observe pass without
+/// digging any site again.
+pub fn dataset_ns_concentration(
+    ds: &MeasurementDataset,
+    psl: &PublicSuffixList,
+) -> HashMap<DomainName, usize> {
+    count_ns_sites(
+        ds.sites
+            .iter()
+            .map(|site| site.dns.pairs.iter().map(|pair| &pair.host)),
+        psl,
+        &mut ClassifyCache::new(),
+    )
+}
+
+/// Counts, per nameserver registrable domain, the sites whose hosts
+/// include it (once per site, however many of its hosts share it).
+fn count_ns_sites<'a, H>(
+    sites: impl Iterator<Item = H>,
+    psl: &PublicSuffixList,
+    cache: &mut ClassifyCache,
+) -> HashMap<DomainName, usize>
+where
+    H: IntoIterator<Item = &'a DomainName>,
+{
     let mut counts: HashMap<DomainName, usize> = HashMap::new();
     let mut seen: Vec<(&str, &DomainName)> = Vec::new();
-    for obs in observations.iter().flatten() {
+    for hosts in sites {
         seen.clear();
-        for host in &obs.ns_hosts {
+        for host in hosts {
             if let Some(reg) = cache.registrable_str(host, psl) {
                 if !seen.iter().any(|&(r, _)| r == reg) {
                     seen.push((reg, host));

@@ -38,7 +38,7 @@ use webdeps_worldgen::{SiteListing, World};
 /// for the duration of a measurement pass, so re-resolving an evicted
 /// name reproduces the evicted answer exactly (pinned by the
 /// determinism digests and the row-vs-columnar equality test).
-pub(crate) const RESOLVER_CACHE_BOUND: usize = 1 << 16;
+const RESOLVER_CACHE_BOUND: usize = 1 << 16;
 
 /// Pipeline tuning knobs.
 #[derive(Debug, Clone, Copy)]

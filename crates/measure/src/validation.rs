@@ -10,6 +10,7 @@
 //! comparisons.
 
 use crate::classify::{classify, Classification, ClassifierKind, Evidence};
+use crate::dataset::MeasurementDataset;
 use crate::dns;
 use std::collections::HashMap;
 use webdeps_dns::Dig;
@@ -110,8 +111,16 @@ fn truth_third(world: &World, site: &DomainName, candidate: &DomainName) -> Opti
 }
 
 /// Validates all strategies on a random sample of `sample_size` sites
-/// (the paper used 100).
-pub fn validate_world(world: &World, sample_size: usize, seed: u64) -> ValidationReport {
+/// (the paper used 100) of `world`, whose measurement is `ds`.
+///
+/// The concentration signal is read from `ds` (its DNS pairs hold every
+/// site's nameservers), so only the sampled sites are observed again.
+pub fn validate_world(
+    world: &World,
+    ds: &MeasurementDataset,
+    sample_size: usize,
+    seed: u64,
+) -> ValidationReport {
     let listings = world.listings();
     // lint:allow(seed-flow) — validation is a sampling root: the audit
     // sample is defined by its own seed, domain-separated from world
@@ -119,12 +128,7 @@ pub fn validate_world(world: &World, sample_size: usize, seed: u64) -> Validatio
     let mut rng = DetRng::new(seed ^ 0x7A11DA7E);
     let indices = rng.sample_indices(listings.len(), sample_size);
 
-    // Bounded like the pipeline's clients: the concentration pass below
-    // digs every site once, so an unbounded cache only accumulates.
     let mut client = world.client();
-    client
-        .resolver_mut()
-        .bound_cache(crate::pipeline::RESOLVER_CACHE_BOUND);
     let mut dns_tallies: HashMap<ClassifierKind, Tally> = ClassifierKind::ALL
         .iter()
         .map(|&k| (k, Tally::new()))
@@ -138,18 +142,12 @@ pub fn validate_world(world: &World, sample_size: usize, seed: u64) -> Validatio
         .map(|&k| (k, Tally::new()))
         .collect();
 
-    // Validation reuses the site-level concentration signal; build it
-    // from the full population like the pipeline does.
-    let resolver = client.resolver_mut();
-    let observations: Vec<Option<dns::DnsObservation>> = listings
-        .iter()
-        .map(|l| dns::observe_site(resolver, &l.domain))
-        .collect();
-    let concentration = dns::ns_concentration(&observations, &world.psl);
+    let concentration = dns::dataset_ns_concentration(ds, &world.psl);
     let threshold = world.config.concentration_threshold();
 
     for &i in &indices {
         let listing = &listings[i];
+        let observation = dns::observe_site(client.resolver_mut(), &listing.domain);
         let report = Crawler::crawl(
             &mut client,
             &listing.domain,
@@ -159,7 +157,7 @@ pub fn validate_world(world: &World, sample_size: usize, seed: u64) -> Validatio
         let san = report.certificate.as_ref().map(|c| c.san.clone());
 
         // DNS pairs.
-        if let Some(obs) = &observations[i] {
+        if let Some(obs) = &observation {
             for (host, ns_soa) in obs.ns_hosts.iter().zip(&obs.ns_soas) {
                 let Some(truth) = truth_third(world, &listing.domain, host) else {
                     continue;
@@ -269,12 +267,13 @@ pub fn validate_world(world: &World, sample_size: usize, seed: u64) -> Validatio
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measure_world;
     use webdeps_worldgen::WorldConfig;
 
     #[test]
     fn combined_heuristic_beats_both_strawmen() {
         let world = World::generate(WorldConfig::small(99));
-        let report = validate_world(&world, 150, 1);
+        let report = validate_world(&world, &measure_world(&world), 150, 1);
         assert_eq!(report.sample_size, 150);
 
         let combined = ValidationReport::row(&report.dns, ClassifierKind::Combined).unwrap();

@@ -63,6 +63,9 @@ for phase in gen/plan gen/sites measure/observe measure/classify measure/assembl
     fi
 done
 
+echo "== perfbench --smoke (builds the end-to-end benchmark, runs every workload at toy size) =="
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- --smoke
+
 if [[ "${1:-}" == "--bench" ]]; then
     echo "== cargo bench (std harness, JSON trajectory; 1M columnar scale opt-in) =="
     WEBDEPS_BENCH_1M=1 cargo bench --offline --workspace

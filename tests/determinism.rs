@@ -13,6 +13,7 @@
 //! constants below may be updated — but that is a results-breaking
 //! change and must be called out in the PR description.
 
+use webdeps::measure::dns;
 use webdeps::measure::pipeline::measure_world;
 use webdeps::model::rng::stable_hash;
 use webdeps::model::DetRng;
@@ -99,6 +100,27 @@ fn pinned_row_measurement_digest() {
     assert_eq!(
         digest, 0x10ff_c593_8360_501d,
         "row measurement dataset changed"
+    );
+}
+
+#[test]
+fn dataset_concentration_matches_fresh_observe_pass() {
+    // The §3 validation reads nameserver concentration back from the
+    // measured rows instead of re-digging every site, so the rows' NS
+    // pairs must carry exactly what the observe pass counts.
+    let world = World::generate(WorldConfig::small(99));
+    let mut client = world.client();
+    let observations: Vec<_> = world
+        .listings()
+        .iter()
+        .map(|l| dns::observe_site(client.resolver_mut(), &l.domain))
+        .collect();
+    let fresh = dns::ns_concentration(&observations, &world.psl);
+    assert!(!fresh.is_empty(), "the world has nameservers to count");
+    assert_eq!(
+        dns::dataset_ns_concentration(&measure_world(&world), &world.psl),
+        fresh,
+        "concentration derived from the dataset diverges from the observe pass"
     );
 }
 

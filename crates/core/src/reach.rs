@@ -13,14 +13,15 @@
 //! per-provider memoization is wrong when providers depend on each
 //! other mutually (the set "reachable from `p`" is not a function of
 //! `p`'s direct consumers alone), but every member of an SCC reaches
-//! exactly the same sites, and Tarjan's algorithm emits components in
-//! reverse topological order — all consumer components of `C` are
-//! finished before `C` itself — so one union pass suffices. The result
+//! exactly the same sites, and [`webdeps_model::scc`] numbers
+//! components in reverse topological order — all consumer components
+//! of `C` come before `C` itself — so one union pass suffices. The result
 //! equals `score_bfs` for every provider, which the metrics tests and
 //! `tests/parallel_determinism.rs` assert.
 //!
-//! Storage is columnar end to end: the DFS walks the graph's CSR
-//! in-edge rows directly (no adjacency materialization), and the only
+//! Storage is columnar end to end: the SCC kernel walks the graph's CSR
+//! in-edge rows directly, filtered on the fly (no adjacency
+//! materialization), and the only
 //! per-provider state is a [`SiteSet`] bitset per component — at 1M
 //! sites that is the difference between an index that fits in cache
 //! lines and one that chases a `Vec<Vec<_>>` per node.
@@ -37,7 +38,7 @@
 use crate::graph::{DepGraph, NodeId, NodeKind};
 use crate::metrics::MetricOptions;
 use std::collections::{BTreeMap, HashSet};
-use webdeps_model::{ServiceKind, SiteId};
+use webdeps_model::{scc, ServiceKind, SiteId};
 
 /// A dense bitset over [`SiteId`]s.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -118,7 +119,7 @@ pub struct ReachIndex<'g> {
     graph: &'g DepGraph,
     /// Node → condensation component (`u32::MAX` for non-providers).
     comp_of: Vec<u32>,
-    /// Per-component dependent-site sets, in Tarjan emission order.
+    /// Per-component dependent-site sets, by component id.
     sets: Vec<SiteSet>,
     /// Per-component popcounts, precomputed so scoring is O(1).
     counts: Vec<usize>,
@@ -131,32 +132,20 @@ impl<'g> ReachIndex<'g> {
     /// concentration — the same switch as
     /// [`crate::metrics::Metrics::score_bfs`].
     ///
-    /// The DFS streams the CSR in-edge rows directly, applying the
-    /// traversal filter (criticality, option-allowed hop kinds,
+    /// The SCC kernel streams the CSR in-edge rows directly, applying
+    /// the traversal filter (criticality, option-allowed hop kinds,
     /// provider-consumer) per edge — the filter is evaluated at most
-    /// twice per edge (tree walk + component emission), which beats
+    /// twice per edge (tree walk + per-component union), which beats
     /// materializing a filtered adjacency first at every scale.
     pub fn build(graph: &'g DepGraph, critical_only: bool, opts: &MetricOptions) -> Self {
         let n = graph.node_count();
         let bound = graph.site_id_bound();
-
-        // Per-node provider kind (service-kind column), u8-packed;
-        // `NONE` marks site nodes.
-        const NONE: u8 = u8::MAX;
         let kind_of: Vec<u8> = (0..n)
             .map(|v| match graph.node(NodeId(v as u32)) {
-                NodeKind::Provider(_, k) => k as u8,
-                NodeKind::Site(_) => NONE,
+                NodeKind::Provider(_, k) => kind_byte(k),
+                NodeKind::Site(_) => SITE_KIND,
             })
             .collect();
-        let kind_back = |b: u8| -> ServiceKind {
-            match b {
-                0 => ServiceKind::Dns,
-                1 => ServiceKind::Cdn,
-                2 => ServiceKind::Ca,
-                _ => ServiceKind::Cloud,
-            }
-        };
 
         // The allowed provider→provider-consumer step, mirroring the
         // BFS traversal filter exactly: from edge `e` into node `v`,
@@ -167,7 +156,7 @@ impl<'g> ReachIndex<'g> {
                 return None;
             }
             let wk = kind_of[w as usize];
-            if wk == NONE {
+            if wk == SITE_KIND {
                 return None;
             }
             if !opts.allows(kind_back(wk), kind_back(kind_of[v])) {
@@ -175,109 +164,46 @@ impl<'g> ReachIndex<'g> {
             }
             Some(w as usize)
         };
+        let scc = scc::condense(
+            n,
+            |v| kind_of[v] != SITE_KIND,
+            |v| graph.in_edge_ids(v).iter().filter_map(move |&e| step(v, e)),
+        );
 
-        // Iterative Tarjan over provider nodes. `index_of` doubles as
-        // the visited marker (0 = unvisited, else DFS index + 1).
-        let mut index_of = vec![0u32; n];
-        let mut low = vec![0u32; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<u32> = Vec::new();
-        let mut comp_of = vec![u32::MAX; n];
-        let mut sets: Vec<SiteSet> = Vec::new();
-        let mut counts: Vec<usize> = Vec::new();
-        let mut next_index = 1u32;
-
-        for start in 0..n {
-            if index_of[start] != 0 || kind_of[start] == NONE {
-                continue;
-            }
-            index_of[start] = next_index;
-            low[start] = next_index;
-            next_index += 1;
-            stack.push(start as u32);
-            on_stack[start] = true;
-            // DFS frame: (node, position within its CSR in-edge row).
-            let mut dfs: Vec<(usize, usize)> = vec![(start, 0)];
-            while let Some(frame) = dfs.last_mut() {
-                let v = frame.0;
-                let row = graph.in_edge_ids(v);
-                let mut descended = false;
-                while frame.1 < row.len() {
-                    let e = row[frame.1];
-                    frame.1 += 1;
-                    let Some(w) = step(v, e) else {
+        // Emission order is reverse topological, so every
+        // cross-component successor's set is final before it is read.
+        let comp_of = scc.comp_of();
+        let mut sets: Vec<SiteSet> = Vec::with_capacity(scc.len());
+        let mut counts: Vec<usize> = Vec::with_capacity(scc.len());
+        for comp in 0..scc.len() {
+            let mut set = SiteSet::with_bound(bound);
+            for &m in scc.members(comp) {
+                for &e in graph.in_edge_ids(m as usize) {
+                    let (src, ek) = graph.edge_source(e);
+                    if critical_only && !ek.critical {
+                        continue;
+                    }
+                    if let NodeKind::Site(site) = graph.node(NodeId(src)) {
+                        set.insert(site);
+                    }
+                }
+                for &e in graph.in_edge_ids(m as usize) {
+                    let Some(w) = step(m as usize, e) else {
                         continue;
                     };
-                    if index_of[w] == 0 {
-                        index_of[w] = next_index;
-                        low[w] = next_index;
-                        next_index += 1;
-                        stack.push(w as u32);
-                        on_stack[w] = true;
-                        dfs.push((w, 0));
-                        descended = true;
-                        break;
-                    } else if on_stack[w] {
-                        low[v] = low[v].min(index_of[w]);
+                    let c = comp_of[w] as usize;
+                    if c != comp {
+                        set.union_with(&sets[c]);
                     }
-                }
-                if descended {
-                    continue;
-                }
-                dfs.pop();
-                if let Some(parent) = dfs.last() {
-                    low[parent.0] = low[parent.0].min(low[v]);
-                }
-                if low[v] == index_of[v] {
-                    // Emit the component rooted at v. Tarjan's
-                    // reverse-topological emission order guarantees
-                    // every cross-component successor already has its
-                    // set computed.
-                    let comp = sets.len() as u32;
-                    let mut members: Vec<u32> = Vec::new();
-                    loop {
-                        let w = match stack.pop() {
-                            Some(w) => w,
-                            None => break,
-                        };
-                        on_stack[w as usize] = false;
-                        comp_of[w as usize] = comp;
-                        members.push(w);
-                        if w as usize == v {
-                            break;
-                        }
-                    }
-                    let mut set = SiteSet::with_bound(bound);
-                    for &m in &members {
-                        for &e in graph.in_edge_ids(m as usize) {
-                            let (src, ek) = graph.edge_source(e);
-                            if critical_only && !ek.critical {
-                                continue;
-                            }
-                            if let NodeKind::Site(site) = graph.node(NodeId(src)) {
-                                set.insert(site);
-                            }
-                        }
-                        for &e in graph.in_edge_ids(m as usize) {
-                            let Some(w) = step(m as usize, e) else {
-                                continue;
-                            };
-                            let c = comp_of[w];
-                            if c != comp {
-                                debug_assert_ne!(c, u32::MAX, "successor emitted first");
-                                set.union_with(&sets[c as usize]);
-                            }
-                        }
-                    }
-                    counts.push(set.count());
-                    sets.push(set);
                 }
             }
+            counts.push(set.count());
+            sets.push(set);
         }
 
         ReachIndex {
             graph,
-            comp_of,
+            comp_of: scc.into_comp_of(),
             sets,
             counts,
         }
@@ -423,7 +349,7 @@ pub enum ApplyKind {
     Rebuilt,
 }
 
-/// Sentinel kind byte for site nodes inside [`MutableReach`].
+/// Sentinel kind byte for site nodes in a per-node kind column.
 const SITE_KIND: u8 = u8::MAX;
 
 /// Sentinel for "no value" in dense u32 columns.
@@ -1022,8 +948,8 @@ impl MutableReach {
         }
     }
 
-    /// The full Tarjan pass over the owned adjacency — the same
-    /// algorithm as [`ReachIndex::build`], plus condensation edge
+    /// The full condensation pass over the owned adjacency — the same
+    /// fold as [`ReachIndex::build`], plus condensation edge
     /// multiplicities for the patch paths.
     fn condense(&self) -> Condensation {
         let n = self.kinds.len();
@@ -1041,95 +967,41 @@ impl MutableReach {
             Some(w as usize)
         };
 
-        let mut index_of = vec![0u32; n];
-        let mut low = vec![0u32; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<u32> = Vec::new();
-        let mut comp_of = vec![NONE_U32; n];
-        let mut comp_members: Vec<Vec<u32>> = Vec::new();
-        let mut sets: Vec<SiteSet> = Vec::new();
-        let mut counts: Vec<usize> = Vec::new();
-        let mut next_index = 1u32;
-
-        for start in 0..n {
-            if index_of[start] != 0 || self.kinds[start] == SITE_KIND {
-                continue;
-            }
-            index_of[start] = next_index;
-            low[start] = next_index;
-            next_index += 1;
-            stack.push(start as u32);
-            on_stack[start] = true;
-            let mut dfs: Vec<(usize, usize)> = vec![(start, 0)];
-            while let Some(frame) = dfs.last_mut() {
-                let v = frame.0;
-                let row = &self.in_edges[v];
-                let mut descended = false;
-                while frame.1 < row.len() {
-                    let (wraw, crit) = row[frame.1];
-                    frame.1 += 1;
-                    let Some(w) = step(v, wraw, crit) else {
+        let scc = scc::condense(
+            n,
+            |v| self.kinds[v] != SITE_KIND,
+            |v| {
+                self.in_edges[v]
+                    .iter()
+                    .filter_map(move |&(w, crit)| step(v, w, crit))
+            },
+        );
+        let comp_of = scc.comp_of();
+        let mut comp_members: Vec<Vec<u32>> = Vec::with_capacity(scc.len());
+        let mut sets: Vec<SiteSet> = Vec::with_capacity(scc.len());
+        let mut counts: Vec<usize> = Vec::with_capacity(scc.len());
+        for comp in 0..scc.len() {
+            let members = scc.members(comp);
+            let mut set = SiteSet::with_bound(self.site_bound);
+            for &m in members {
+                for &(src, crit) in &self.in_edges[m as usize] {
+                    if self.kinds[src as usize] == SITE_KIND && self.site_edge_visible(crit) {
+                        set.insert(SiteId(self.site_of[src as usize]));
+                    }
+                }
+                for &(src, crit) in &self.in_edges[m as usize] {
+                    let Some(w) = step(m as usize, src, crit) else {
                         continue;
                     };
-                    if index_of[w] == 0 {
-                        index_of[w] = next_index;
-                        low[w] = next_index;
-                        next_index += 1;
-                        stack.push(w as u32);
-                        on_stack[w] = true;
-                        dfs.push((w, 0));
-                        descended = true;
-                        break;
-                    } else if on_stack[w] {
-                        low[v] = low[v].min(index_of[w]);
+                    let c = comp_of[w] as usize;
+                    if c != comp {
+                        set.union_with(&sets[c]);
                     }
-                }
-                if descended {
-                    continue;
-                }
-                dfs.pop();
-                if let Some(parent) = dfs.last() {
-                    low[parent.0] = low[parent.0].min(low[v]);
-                }
-                if low[v] == index_of[v] {
-                    let comp = sets.len() as u32;
-                    let mut members: Vec<u32> = Vec::new();
-                    loop {
-                        let w = match stack.pop() {
-                            Some(w) => w,
-                            None => break,
-                        };
-                        on_stack[w as usize] = false;
-                        comp_of[w as usize] = comp;
-                        members.push(w);
-                        if w as usize == v {
-                            break;
-                        }
-                    }
-                    let mut set = SiteSet::with_bound(self.site_bound);
-                    for &m in &members {
-                        for &(src, crit) in &self.in_edges[m as usize] {
-                            if self.kinds[src as usize] == SITE_KIND && self.site_edge_visible(crit)
-                            {
-                                set.insert(SiteId(self.site_of[src as usize]));
-                            }
-                        }
-                        for &(src, crit) in &self.in_edges[m as usize] {
-                            let Some(w) = step(m as usize, src, crit) else {
-                                continue;
-                            };
-                            let c = comp_of[w];
-                            if c != comp {
-                                debug_assert_ne!(c, NONE_U32, "successor emitted first");
-                                set.union_with(&sets[c as usize]);
-                            }
-                        }
-                    }
-                    counts.push(set.count());
-                    sets.push(set);
-                    comp_members.push(members);
                 }
             }
+            counts.push(set.count());
+            sets.push(set);
+            comp_members.push(members.to_vec());
         }
 
         // Condensation edges with multiplicity, derived in one pass
@@ -1155,7 +1027,7 @@ impl MutableReach {
         }
 
         Condensation {
-            comp_of,
+            comp_of: scc.into_comp_of(),
             comp_members,
             sets,
             counts,

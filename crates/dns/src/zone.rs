@@ -128,8 +128,10 @@ impl Zone {
         }
     }
 
-    /// Adds a record. Panics when the owner name is outside the zone —
-    /// zone files with out-of-zone data are generator bugs.
+    /// Adds a record. Panics when the owner name is outside the zone or
+    /// a CNAME would share its owner with other data — in-program
+    /// callers that do so have a bug. Zone-file text is checked by
+    /// [`crate::zonefile::parse_zone`], which returns an error instead.
     pub fn insert(&mut self, rr: ResourceRecord) {
         assert!(
             rr.name.is_equal_or_subdomain_of(&self.origin),

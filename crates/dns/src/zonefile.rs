@@ -11,6 +11,7 @@
 use crate::clock::Ttl;
 use crate::record::{RecordData, ResourceRecord, Soa};
 use crate::zone::Zone;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 use webdeps_model::{DomainName, ModelError};
@@ -89,7 +90,7 @@ pub fn parse_zone(text: &str, default_origin: Option<&DomainName>) -> Result<Zon
     let mut default_ttl = Ttl::DEFAULT;
     let mut last_owner: Option<DomainName> = None;
     let mut soa: Option<(DomainName, Soa, Ttl)> = None;
-    let mut records: Vec<ResourceRecord> = Vec::new();
+    let mut records: Vec<(usize, ResourceRecord)> = Vec::new();
 
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
@@ -199,7 +200,10 @@ pub fn parse_zone(text: &str, default_origin: Option<&DomainName>) -> Result<Zon
                     &origin_ref,
                     line_no,
                 )?;
-                records.push(ResourceRecord::with_ttl(owner, ttl, RecordData::Ns(host)));
+                records.push((
+                    line_no,
+                    ResourceRecord::with_ttl(owner, ttl, RecordData::Ns(host)),
+                ));
             }
             "A" => {
                 let ip: Ipv4Addr = tokens
@@ -207,7 +211,10 @@ pub fn parse_zone(text: &str, default_origin: Option<&DomainName>) -> Result<Zon
                     .ok_or_else(|| err(line_no, "A needs an address"))?
                     .parse()
                     .map_err(|_| err(line_no, "bad IPv4 address"))?;
-                records.push(ResourceRecord::with_ttl(owner, ttl, RecordData::A(ip)));
+                records.push((
+                    line_no,
+                    ResourceRecord::with_ttl(owner, ttl, RecordData::A(ip)),
+                ));
             }
             "CNAME" => {
                 let target = resolve_name(
@@ -217,19 +224,17 @@ pub fn parse_zone(text: &str, default_origin: Option<&DomainName>) -> Result<Zon
                     &origin_ref,
                     line_no,
                 )?;
-                records.push(ResourceRecord::with_ttl(
-                    owner,
-                    ttl,
-                    RecordData::Cname(target),
+                records.push((
+                    line_no,
+                    ResourceRecord::with_ttl(owner, ttl, RecordData::Cname(target)),
                 ));
             }
             "TXT" => {
                 let joined = tokens.join(" ");
                 let content = joined.trim().trim_matches('"').to_string();
-                records.push(ResourceRecord::with_ttl(
-                    owner,
-                    ttl,
-                    RecordData::Txt(content),
+                records.push((
+                    line_no,
+                    ResourceRecord::with_ttl(owner, ttl, RecordData::Txt(content)),
                 ));
             }
             other => return Err(err(line_no, format!("unsupported record type {other:?}"))),
@@ -245,8 +250,27 @@ pub fn parse_zone(text: &str, default_origin: Option<&DomainName>) -> Result<Zon
             ));
         }
     }
+    // Checked here rather than left to `Zone::insert`, whose asserts
+    // guard in-program callers: an owner outside the zone, and a CNAME
+    // sharing its owner with other data (RFC 1034 §3.6.2) in either
+    // order. Per owner: whether its data so far is CNAMEs; the apex
+    // holds the SOA.
+    let mut cname_owner: BTreeMap<DomainName, bool> = BTreeMap::from([(apex.clone(), false)]);
     let mut zone = Zone::new(apex, soa);
-    for rr in records {
+    for (line, rr) in records {
+        if !rr.name.is_equal_or_subdomain_of(zone.origin()) {
+            return Err(err(
+                line,
+                format!("record {rr} is outside zone {}", zone.origin()),
+            ));
+        }
+        let is_cname = matches!(rr.data, RecordData::Cname(_));
+        if *cname_owner.entry(rr.name.clone()).or_insert(is_cname) != is_cname {
+            return Err(err(
+                line,
+                format!("CNAME at {} would coexist with other records", rr.name),
+            ));
+        }
         zone.insert(rr);
     }
     Ok(zone)

@@ -26,8 +26,9 @@
 //!    deliberately not blocking either — they collide with RwLock
 //!    acquisition spelling; the exact-buffer forms are covered instead.
 //! 2. **Propagation** ([`evaluate`]): three facts flow callee→caller
-//!    over the same SCC-condensed call graph the hazard rules use
-//!    (iterative Tarjan, components in reverse topological order,
+//!    over the same SCC condensation of the call graph the hazard rules
+//!    use (`webdeps_model::scc`, computed once in
+//!    [`CallGraph::build`]; components in reverse topological order,
 //!    minimum-id sources — byte-identical at any worker count):
 //!    the set of locks a call can transitively acquire, whether a call
 //!    can transitively block, and whether it can transitively enter a
@@ -68,6 +69,7 @@ use crate::lexer::{Tok, TokKind};
 use crate::parser::{Block, FnItem, StmtKind};
 use crate::scan::FileCtx;
 use std::collections::{BTreeMap, BTreeSet};
+use webdeps_model::scc;
 
 /// Lock operation: `Mutex::lock`.
 pub const OP_MUTEX: u8 = 0;
@@ -774,14 +776,14 @@ struct Prov {
 }
 
 /// Propagated concurrency facts, per call-graph component.
-struct ConcReach {
-    comp_of: Vec<u32>,
+struct ConcReach<'g> {
+    comp_of: &'g [u32],
     locks: Vec<BTreeSet<u32>>,
     blk: Vec<u32>,
     fan: Vec<u32>,
 }
 
-impl ConcReach {
+impl ConcReach<'_> {
     fn locks_of(&self, id: usize) -> &BTreeSet<u32> {
         &self.locks[self.comp_of[id] as usize]
     }
@@ -847,7 +849,7 @@ pub fn evaluate(
             (locks, blocks, fans)
         })
         .collect();
-    let reach = propagate_conc(&own, graph.edge_lists());
+    let reach = propagate_conc(&own, graph);
 
     // Resolve each region to a held lock; assemble the lock-order
     // graph and evaluate the per-region rules in one sweep.
@@ -893,16 +895,16 @@ pub fn evaluate(
         for &(a, b) in ledges.keys() {
             ladj[a as usize].push(b);
         }
-        let comp_of = lock_sccs(&ladj);
-        let mut members: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for (l, &c) in comp_of.iter().enumerate() {
-            members.entry(c).or_default().push(l as u32);
-        }
-        for group in members.values() {
+        let sccs = scc::condense(nlocks, |_| true, |l| ladj[l].iter().map(|&w| w as usize));
+        for c in 0..sccs.len() {
+            let group = sccs.members(c);
             if group.len() < 2 {
                 continue;
             }
-            let cycle = shortest_cycle(&ladj, &comp_of, group[0]);
+            let Some(&start) = group.iter().min() else {
+                continue;
+            };
+            let cycle = shortest_cycle(&ladj, sccs.comp_of(), start);
             if cycle.len() < 2 {
                 continue;
             }
@@ -1168,95 +1170,43 @@ fn emit(
 }
 
 /// Propagates `(lock set, can block, can fan out)` callee→caller over
-/// the SCC condensation — the same iterative Tarjan pattern as
-/// [`crate::interproc`]'s hazard propagation and `core`'s `ReachIndex`.
-/// Sources kept per component are minimum node ids, so the result is
-/// independent of traversal order and worker count.
-fn propagate_conc(own: &[(BTreeSet<u32>, bool, bool)], edges: &[Vec<u32>]) -> ConcReach {
-    let n = own.len();
-    let mut index_of = vec![0u32; n];
-    let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut comp_of = vec![u32::MAX; n];
-    let mut comp_locks: Vec<BTreeSet<u32>> = Vec::new();
-    let mut comp_blk: Vec<u32> = Vec::new();
-    let mut comp_fan: Vec<u32> = Vec::new();
-    let mut next_index = 1u32;
-    let mut dfs: Vec<(u32, usize)> = Vec::new();
-
-    for root in 0..n as u32 {
-        if index_of[root as usize] != 0 {
-            continue;
+/// the call graph's SCC condensation — the one [`crate::interproc`]'s
+/// hazard propagation folds over. Sources kept per component are
+/// minimum node ids, so the result is independent of traversal order
+/// and worker count.
+fn propagate_conc<'g>(own: &[(BTreeSet<u32>, bool, bool)], graph: &'g CallGraph) -> ConcReach<'g> {
+    let scc = graph.condensation();
+    let edges = graph.edge_lists();
+    let comp_of = scc.comp_of();
+    let mut comp_locks: Vec<BTreeSet<u32>> = Vec::with_capacity(scc.len());
+    let mut comp_blk: Vec<u32> = Vec::with_capacity(scc.len());
+    let mut comp_fan: Vec<u32> = Vec::with_capacity(scc.len());
+    for c in 0..scc.len() {
+        let mut locks: BTreeSet<u32> = BTreeSet::new();
+        let mut blk = NONE;
+        let mut fan = NONE;
+        for &m in scc.members(c) {
+            let mu = m as usize;
+            locks.extend(own[mu].0.iter().copied());
+            if own[mu].1 {
+                blk = blk.min(m);
+            }
+            if own[mu].2 {
+                fan = fan.min(m);
+            }
+            for &w in &edges[mu] {
+                let wc = comp_of[w as usize] as usize;
+                if wc == c {
+                    continue;
+                }
+                locks.extend(comp_locks[wc].iter().copied());
+                blk = blk.min(comp_blk[wc]);
+                fan = fan.min(comp_fan[wc]);
+            }
         }
-        dfs.push((root, 0));
-        index_of[root as usize] = next_index;
-        low[root as usize] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root as usize] = true;
-
-        while let Some(&mut (v, ref mut row)) = dfs.last_mut() {
-            let vu = v as usize;
-            if let Some(&w) = edges[vu].get(*row) {
-                *row += 1;
-                let wu = w as usize;
-                if index_of[wu] == 0 {
-                    index_of[wu] = next_index;
-                    low[wu] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[wu] = true;
-                    dfs.push((w, 0));
-                } else if on_stack[wu] {
-                    low[vu] = low[vu].min(index_of[wu]);
-                }
-                continue;
-            }
-            dfs.pop();
-            if let Some(&(p, _)) = dfs.last() {
-                let pu = p as usize;
-                low[pu] = low[pu].min(low[vu]);
-            }
-            if low[vu] != index_of[vu] {
-                continue;
-            }
-            let c = comp_locks.len() as u32;
-            let mut members: Vec<u32> = Vec::new();
-            while let Some(w) = stack.pop() {
-                on_stack[w as usize] = false;
-                comp_of[w as usize] = c;
-                members.push(w);
-                if w == v {
-                    break;
-                }
-            }
-            let mut locks: BTreeSet<u32> = BTreeSet::new();
-            let mut blk = NONE;
-            let mut fan = NONE;
-            for &m in &members {
-                let mu = m as usize;
-                locks.extend(own[mu].0.iter().copied());
-                if own[mu].1 {
-                    blk = blk.min(m);
-                }
-                if own[mu].2 {
-                    fan = fan.min(m);
-                }
-                for &w in &edges[mu] {
-                    let wc = comp_of[w as usize];
-                    if wc == c {
-                        continue;
-                    }
-                    locks.extend(comp_locks[wc as usize].iter().copied());
-                    blk = blk.min(comp_blk[wc as usize]);
-                    fan = fan.min(comp_fan[wc as usize]);
-                }
-            }
-            comp_locks.push(locks);
-            comp_blk.push(blk);
-            comp_fan.push(fan);
-        }
+        comp_locks.push(locks);
+        comp_blk.push(blk);
+        comp_fan.push(fan);
     }
 
     ConcReach {
@@ -1265,68 +1215,6 @@ fn propagate_conc(own: &[(BTreeSet<u32>, bool, bool)], edges: &[Vec<u32>]) -> Co
         blk: comp_blk,
         fan: comp_fan,
     }
-}
-
-/// SCC component ids of the lock-order graph (plain iterative Tarjan,
-/// no payload).
-fn lock_sccs(edges: &[Vec<u32>]) -> Vec<u32> {
-    let n = edges.len();
-    let mut index_of = vec![0u32; n];
-    let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut comp_of = vec![u32::MAX; n];
-    let mut ncomps = 0u32;
-    let mut next_index = 1u32;
-    let mut dfs: Vec<(u32, usize)> = Vec::new();
-
-    for root in 0..n as u32 {
-        if index_of[root as usize] != 0 {
-            continue;
-        }
-        dfs.push((root, 0));
-        index_of[root as usize] = next_index;
-        low[root as usize] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root as usize] = true;
-
-        while let Some(&mut (v, ref mut row)) = dfs.last_mut() {
-            let vu = v as usize;
-            if let Some(&w) = edges[vu].get(*row) {
-                *row += 1;
-                let wu = w as usize;
-                if index_of[wu] == 0 {
-                    index_of[wu] = next_index;
-                    low[wu] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[wu] = true;
-                    dfs.push((w, 0));
-                } else if on_stack[wu] {
-                    low[vu] = low[vu].min(index_of[wu]);
-                }
-                continue;
-            }
-            dfs.pop();
-            if let Some(&(p, _)) = dfs.last() {
-                let pu = p as usize;
-                low[pu] = low[pu].min(low[vu]);
-            }
-            if low[vu] != index_of[vu] {
-                continue;
-            }
-            while let Some(w) = stack.pop() {
-                on_stack[w as usize] = false;
-                comp_of[w as usize] = ncomps;
-                if w == v {
-                    break;
-                }
-            }
-            ncomps += 1;
-        }
-    }
-    comp_of
 }
 
 /// The shortest cycle through `start` inside its SCC, as the node

@@ -26,8 +26,8 @@
 //!    through closures are over-approximated as direct.
 //! 3. **Propagation** ([`CallGraph::build`] + [`evaluate`]): hazards
 //!    flow callee→caller over the condensation of the graph, computed
-//!    with the same iterative Tarjan SCC pattern as
-//!    `ReachIndex` in `crates/core/src/reach.rs`. Components finish in
+//!    once by `webdeps_model::scc` (the kernel `ReachIndex` in
+//!    `crates/core/src/reach.rs` also uses). Components are numbered in
 //!    reverse topological order, so one linear pass suffices; the
 //!    recorded source for each hazard is the minimum node id, which
 //!    makes the result independent of edge order and worker count.
@@ -49,6 +49,7 @@ use crate::parser::{Block, FnItem, Item, ItemKind, ParsedFile, StmtKind};
 use crate::rules;
 use crate::scan::FileCtx;
 use std::collections::{BTreeMap, BTreeSet};
+use webdeps_model::scc::{self, Condensation};
 
 /// Number of propagated hazard kinds.
 pub const NHAZ: usize = 4;
@@ -453,6 +454,9 @@ pub struct CallGraph {
     pub nodes: Vec<FnSummary>,
     /// Resolved callee node ids per node, sorted and deduplicated.
     edges: Vec<Vec<u32>>,
+    /// SCC condensation of `edges`, shared by every pass that folds
+    /// callee facts into callers.
+    scc: Condensation,
     /// Per-node, per-hazard: node id of the minimum-id reachable
     /// source fn with an unjustified site ([`NONE`] when unreachable).
     sources: Vec<[u32; NHAZ]>,
@@ -532,10 +536,12 @@ impl CallGraph {
                 edges[id] = out.into_iter().collect();
             }
         }
-        let sources = propagate(&nodes, &edges);
+        let scc = scc::condense(n, |_| true, |v| edges[v].iter().map(|&w| w as usize));
+        let sources = propagate(&nodes, &edges, &scc);
         CallGraph {
             nodes,
             edges,
+            scc,
             sources,
         }
     }
@@ -543,6 +549,11 @@ impl CallGraph {
     /// The resolved adjacency lists (callee ids per node, sorted).
     pub(crate) fn edge_lists(&self) -> &[Vec<u32>] {
         &self.edges
+    }
+
+    /// The call graph's SCC condensation.
+    pub(crate) fn condensation(&self) -> &Condensation {
+        &self.scc
     }
 
     /// The propagated hazard sources of node `id`.
@@ -587,96 +598,37 @@ impl CallGraph {
     }
 }
 
-/// Propagates hazard sources callee→caller over the SCC condensation,
-/// using the iterative Tarjan pattern from `core::reach::ReachIndex`:
-/// components are emitted in reverse topological order (every callee
-/// component before its callers), so each component's sources are
-/// final the moment it pops. The source kept per component is the
+/// Propagates hazard sources callee→caller over the SCC condensation.
+/// Components are numbered in reverse topological order (every callee
+/// component before its callers), so one pass in id order sees each
+/// callee's sources final. The source kept per component is the
 /// minimum contributing node id — independent of traversal order.
-fn propagate(nodes: &[FnSummary], edges: &[Vec<u32>]) -> Vec<[u32; NHAZ]> {
-    let n = nodes.len();
-    let mut index_of = vec![0u32; n];
-    let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut comp_of = vec![u32::MAX; n];
-    let mut comp_sources: Vec<[u32; NHAZ]> = Vec::new();
-    let mut next_index = 1u32;
-    let mut dfs: Vec<(u32, usize)> = Vec::new();
-
-    for root in 0..n as u32 {
-        if index_of[root as usize] != 0 {
-            continue;
-        }
-        dfs.push((root, 0));
-        index_of[root as usize] = next_index;
-        low[root as usize] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root as usize] = true;
-
-        while let Some(&mut (v, ref mut row)) = dfs.last_mut() {
-            let vu = v as usize;
-            if let Some(&w) = edges[vu].get(*row) {
-                *row += 1;
-                let wu = w as usize;
-                if index_of[wu] == 0 {
-                    index_of[wu] = next_index;
-                    low[wu] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[wu] = true;
-                    dfs.push((w, 0));
-                } else if on_stack[wu] {
-                    low[vu] = low[vu].min(index_of[wu]);
-                }
-                continue;
-            }
-            // v is exhausted: pop, merge low into parent, and emit a
-            // component when v is its root.
-            dfs.pop();
-            if let Some(&(p, _)) = dfs.last() {
-                let pu = p as usize;
-                low[pu] = low[pu].min(low[vu]);
-            }
-            if low[vu] != index_of[vu] {
-                continue;
-            }
-            let c = comp_sources.len() as u32;
-            let mut members: Vec<u32> = Vec::new();
-            while let Some(w) = stack.pop() {
-                on_stack[w as usize] = false;
-                comp_of[w as usize] = c;
-                members.push(w);
-                if w == v {
-                    break;
+fn propagate(nodes: &[FnSummary], edges: &[Vec<u32>], scc: &Condensation) -> Vec<[u32; NHAZ]> {
+    let comp_of = scc.comp_of();
+    let mut comp_sources: Vec<[u32; NHAZ]> = Vec::with_capacity(scc.len());
+    for c in 0..scc.len() {
+        let mut src = [NONE; NHAZ];
+        for &m in scc.members(c) {
+            let mu = m as usize;
+            for h in 0..NHAZ {
+                if nodes[mu].own_site(h) != 0 {
+                    src[h] = src[h].min(m);
                 }
             }
-            let mut src = [NONE; NHAZ];
-            for &m in &members {
-                let mu = m as usize;
+            for &w in &edges[mu] {
+                let wc = comp_of[w as usize] as usize;
+                if wc == c {
+                    continue;
+                }
+                let callee = comp_sources[wc];
                 for h in 0..NHAZ {
-                    if nodes[mu].own_site(h) != 0 {
-                        src[h] = src[h].min(m);
-                    }
-                }
-                for &w in &edges[mu] {
-                    let wc = comp_of[w as usize];
-                    if wc == c {
-                        continue;
-                    }
-                    debug_assert_ne!(wc, u32::MAX, "callee component emitted first");
-                    let callee = comp_sources[wc as usize];
-                    for h in 0..NHAZ {
-                        src[h] = src[h].min(callee[h]);
-                    }
+                    src[h] = src[h].min(callee[h]);
                 }
             }
-            comp_sources.push(src);
         }
+        comp_sources.push(src);
     }
-
-    (0..n).map(|v| comp_sources[comp_of[v] as usize]).collect()
+    comp_of.iter().map(|&c| comp_sources[c as usize]).collect()
 }
 
 /// The three interprocedural hazard rules, evaluated over the

@@ -24,6 +24,7 @@ pub mod prng;
 pub mod psl;
 pub mod rank;
 pub mod rng;
+pub mod scc;
 pub mod service;
 pub mod timing;
 

@@ -213,6 +213,72 @@ fn metrics_bfs_equals_recursion() {
     );
 }
 
+/// The one SCC kernel agrees with a transitive-closure oracle on random
+/// digraphs restricted by a node filter: components are exactly the
+/// mutual-reachability classes of the induced subgraph, every
+/// cross-component edge points at a smaller component id (reverse
+/// topological numbering), and excluded nodes carry `EXCLUDED`.
+#[test]
+fn scc_kernel_matches_closure_oracle() {
+    use webdeps::model::scc::{condense, EXCLUDED};
+    let inputs = gen::tuple3(
+        gen::u64_any(),
+        gen::usize_range(0, 40),
+        gen::usize_range(0, 120),
+    );
+    check(
+        "scc_kernel_matches_closure_oracle",
+        &inputs,
+        |&(seed, n, n_edges)| {
+            let mut rng = DetRng::new(seed);
+            let included: Vec<bool> = (0..n).map(|_| rng.chance(0.8)).collect();
+            let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+            for _ in 0..n_edges.min(n * n) {
+                adj[rng.below(n)].push(rng.below(n));
+            }
+            let scc = condense(n, |v| included[v], |v| adj[v].iter().copied());
+            let comp_of = scc.comp_of();
+
+            // reach[u][w]: w reachable from u in the induced subgraph.
+            let mut reach = vec![vec![false; n]; n];
+            for u in (0..n).filter(|&u| included[u]) {
+                reach[u][u] = true;
+                let mut stack = vec![u];
+                while let Some(v) = stack.pop() {
+                    for &w in &adj[v] {
+                        if included[w] && !reach[u][w] {
+                            reach[u][w] = true;
+                            stack.push(w);
+                        }
+                    }
+                }
+            }
+            for u in 0..n {
+                if !included[u] {
+                    tk_assert_eq!(comp_of[u], EXCLUDED);
+                    continue;
+                }
+                tk_assert!(scc.members(comp_of[u] as usize).contains(&(u as u32)));
+                for w in (0..n).filter(|&w| included[w]) {
+                    let mutual = reach[u][w] && reach[w][u];
+                    tk_assert_eq!(comp_of[u] == comp_of[w], mutual);
+                }
+                for &w in adj[u].iter().filter(|&&w| included[w]) {
+                    tk_assert!(
+                        comp_of[w] <= comp_of[u],
+                        "edge {u}->{w} climbs from component {} to {}",
+                        comp_of[u],
+                        comp_of[w]
+                    );
+                }
+            }
+            let members: usize = (0..scc.len()).map(|c| scc.members(c).len()).sum();
+            tk_assert_eq!(members, included.iter().filter(|&&i| i).count());
+            Ok(())
+        },
+    );
+}
+
 /// World generation is deterministic and structurally sound at
 /// arbitrary small scales. (Expensive: capped at 16 cases, matching the
 /// old `ProptestConfig::with_cases(16)`.)
@@ -255,8 +321,7 @@ fn world_generation_sound() {
 /// (Matches the old `ProptestConfig::with_cases(64)`.)
 #[test]
 fn zonefile_roundtrip() {
-    use webdeps::dns::record::RecordData;
-    use webdeps::dns::{Soa, Zone};
+    use webdeps::dns::Zone;
     let cfg = Config {
         cases: 64,
         ..Config::default()
@@ -271,29 +336,7 @@ fn zonefile_roundtrip() {
         "zonefile_roundtrip",
         &inputs,
         |&(seed, n_hosts, serial)| {
-            let mut rng = DetRng::new(seed);
-            let origin = dn("zone-under-test.com");
-            let soa = Soa::standard(
-                dn("ns1.zone-under-test.com"),
-                dn("hostmaster.zone-under-test.com"),
-                serial,
-            );
-            let mut zone = Zone::new(origin.clone(), soa);
-            zone.add(
-                origin.clone(),
-                RecordData::Ns(dn("ns1.zone-under-test.com")),
-            );
-            for i in 0..n_hosts {
-                let host = origin.child(&format!("h{i}")).unwrap();
-                match rng.below(3) {
-                    0 => zone.add(
-                        host,
-                        RecordData::A(std::net::Ipv4Addr::from(rng.next_u64() as u32)),
-                    ),
-                    1 => zone.add(host, RecordData::Cname(dn(&format!("t{i}.elsewhere.net")))),
-                    _ => zone.add(host, RecordData::Txt(format!("payload {i}"))),
-                }
-            }
+            let zone = sample_zone(seed, n_hosts, serial);
             let text = zone.to_zonefile();
             let reparsed = Zone::from_zonefile(&text).expect("serialized zones parse");
             tk_assert_eq!(reparsed.origin(), zone.origin());
@@ -308,6 +351,102 @@ fn zonefile_roundtrip() {
                 );
             }
             Ok(())
+        },
+    );
+}
+
+/// A zone with an apex NS and `n_hosts` hosts, each carrying one A,
+/// CNAME or TXT record drawn from `seed`.
+fn sample_zone(seed: u64, n_hosts: usize, serial: u32) -> webdeps::dns::Zone {
+    use webdeps::dns::record::RecordData;
+    use webdeps::dns::{Soa, Zone};
+    let mut rng = DetRng::new(seed);
+    let origin = dn("zone-under-test.com");
+    let soa = Soa::standard(
+        dn("ns1.zone-under-test.com"),
+        dn("hostmaster.zone-under-test.com"),
+        serial,
+    );
+    let mut zone = Zone::new(origin.clone(), soa);
+    zone.add(
+        origin.clone(),
+        RecordData::Ns(dn("ns1.zone-under-test.com")),
+    );
+    for i in 0..n_hosts {
+        let host = origin.child(&format!("h{i}")).unwrap();
+        match rng.below(3) {
+            0 => zone.add(
+                host,
+                RecordData::A(std::net::Ipv4Addr::from(rng.next_u64() as u32)),
+            ),
+            1 => zone.add(host, RecordData::Cname(dn(&format!("t{i}.elsewhere.net")))),
+            _ => zone.add(host, RecordData::Txt(format!("payload {i}"))),
+        }
+    }
+    zone
+}
+
+/// The zone-file parser faces untrusted text: on any mutation of a
+/// serialized zone (character inserts, deletes, truncations) it returns
+/// `Ok` or `Err` and never panics. The pinned cases are inputs that
+/// once reached the `Zone::insert` assertions: an owner outside the
+/// zone, and a CNAME sharing its owner with other data in either order.
+#[test]
+fn zonefile_parser_never_panics_on_mutations() {
+    use webdeps::dns::Zone;
+    fn parses_without_panic(text: &str) -> Result<(), String> {
+        match std::panic::catch_unwind(|| Zone::from_zonefile(text).map(|_| ())) {
+            Ok(_) => Ok(()),
+            Err(_) => Err(format!("parser panicked on {text:?}")),
+        }
+    }
+    const SOA: &str = "$ORIGIN example.com.\n@ IN SOA ns1 hostmaster 1 7200 900 1209600 300\n";
+    for (tail, line) in [
+        ("ns1. IN A 192.0.2.53\n", 3),
+        ("www IN A 192.0.2.53\nwww IN CNAME x.example.net.\n", 4),
+        ("www IN CNAME x.example.net.\nwww IN A 192.0.2.53\n", 4),
+        ("@ IN CNAME x.example.net.\n", 3),
+    ] {
+        let text = format!("{SOA}{tail}");
+        parses_without_panic(&text).unwrap();
+        let e = Zone::from_zonefile(&text).expect_err("rejected");
+        assert_eq!(e.line, line, "{e}");
+    }
+
+    // Characters that matter to the grammar, plus one multi-byte char.
+    const ALPHABET: &[char] = &[
+        'a', 'h', '1', '0', '.', '-', '_', ' ', '\t', '\n', ';', '"', '@', '$', '*', 'é',
+    ];
+    let cfg = Config {
+        cases: 4096,
+        ..Config::default()
+    };
+    let inputs = gen::tuple3(
+        gen::u64_any(),
+        gen::usize_range(0, 8),
+        gen::usize_range(1, 6),
+    );
+    check_with(
+        &cfg,
+        "zonefile_parser_never_panics_on_mutations",
+        &inputs,
+        |&(seed, n_hosts, n_mutations)| {
+            let mut rng = DetRng::new(seed).fork("mutations");
+            let mut text: Vec<char> = sample_zone(seed, n_hosts, 1)
+                .to_zonefile()
+                .chars()
+                .collect();
+            for _ in 0..n_mutations {
+                let at = rng.below(text.len() + 1);
+                match rng.below(3) {
+                    0 => text.insert(at, ALPHABET[rng.below(ALPHABET.len())]),
+                    1 if at < text.len() => {
+                        text.remove(at);
+                    }
+                    _ => text.truncate(at),
+                }
+            }
+            parses_without_panic(&text.into_iter().collect::<String>())
         },
     );
 }

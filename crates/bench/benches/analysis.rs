@@ -8,7 +8,7 @@ use webdeps_bench::bench_workspace;
 use webdeps_bench::harness::Harness;
 use webdeps_core::{coverage_curve, DepGraph, MetricOptions, Metrics};
 use webdeps_dns::Soa;
-use webdeps_measure::classify::{classify, ClassifierKind, Evidence};
+use webdeps_measure::classify::{classify, ClassifierKind, ClassifyCache, Evidence};
 use webdeps_model::name::dn;
 use webdeps_model::{PublicSuffixList, ServiceKind};
 
@@ -56,7 +56,7 @@ fn heuristic_ablation(h: &mut Harness) {
 }
 
 fn grouping_ablation(h: &mut Harness) {
-    use webdeps_measure::dns::{classify_site_with_grouping, DnsObservation, GroupingStrategy};
+    use webdeps_measure::dns::{classify_site, DnsObservation, GroupingStrategy};
     let psl = PublicSuffixList::builtin();
     let obs = DnsObservation {
         site: dn("example-shop.com"),
@@ -102,13 +102,14 @@ fn grouping_ablation(h: &mut Harness) {
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                black_box(classify_site_with_grouping(
+                black_box(classify_site(
                     black_box(&obs),
                     None,
                     &conc,
                     50,
                     &psl,
                     strategy,
+                    &mut ClassifyCache::new(),
                 ))
             });
         });

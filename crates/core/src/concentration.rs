@@ -26,10 +26,7 @@ fn site_providers(site: &SiteMeasurement, kind: ServiceKind) -> Vec<&ProviderKey
     match kind {
         ServiceKind::Dns => site.dns.third_parties().collect(),
         ServiceKind::Cdn => site.cdn.third_parties().collect(),
-        ServiceKind::Ca => match &site.ca.ca {
-            Some((key, webdeps_measure::Classification::ThirdParty)) => vec![key],
-            _ => Vec::new(),
-        },
+        ServiceKind::Ca => site.ca.third_party().into_iter().collect(),
         ServiceKind::Cloud => Vec::new(),
     }
 }

@@ -14,14 +14,14 @@
 //! allocations. Mutation happens in a [`GraphBuilder`]; [`DepGraph`]
 //! itself is immutable, so the CSR offsets can never go stale. Ids are
 //! assigned in insertion order, so the same build sequence always
-//! yields the same graph — which is what lets
-//! [`DepGraph::from_columnar`] and [`DepGraph::from_dataset`] be
-//! cross-checked for equality in the determinism suite.
+//! yields the same graph. Every build goes through
+//! [`DepGraph::from_columnar`]; a row dataset is converted with
+//! [`ColumnarDataset::from_rows`] first, so the per-site edge rule
+//! lives only in [`ColumnarDataset::site_edges`].
 
 use std::collections::BTreeMap;
-use webdeps_measure::{ColumnarDataset, MeasurementDataset, ProviderKey, SiteMeasurement};
+use webdeps_measure::{ColumnarDataset, MeasurementDataset, ProviderKey};
 use webdeps_model::{fan_out_chunked, Interner, NameId, ServiceKind, SiteId};
-use webdeps_worldgen::profiles::{CaProfile, CdnProfile, DepState};
 
 /// Dense node identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -69,41 +69,6 @@ pub struct EdgeKind {
     /// Whether the consumer is critically dependent through this edge
     /// (sole provider of this service, no redundancy).
     pub critical: bool,
-}
-
-/// One site's extracted dependency edges: `(provider key, service,
-/// critical)`, borrowed from the dataset. Extraction is pure per-site
-/// work, which is what lets [`DepGraph::from_dataset_with_jobs`] shard
-/// it across workers while the (id-assigning, order-sensitive)
-/// assembly stays serial.
-type SiteEdges<'a> = (SiteId, Vec<(&'a ProviderKey, ServiceKind, bool)>);
-
-fn site_edges(site: &SiteMeasurement) -> SiteEdges<'_> {
-    let mut edges: Vec<(&ProviderKey, ServiceKind, bool)> = Vec::new();
-    // site → DNS providers.
-    if let Some(state) = site.dns.state {
-        let critical = state == DepState::SingleThird;
-        for key in site.dns.third_parties() {
-            edges.push((key, ServiceKind::Dns, critical));
-        }
-    }
-    // site → CDNs.
-    if let Some(state) = site.cdn.state {
-        let critical = state == CdnProfile::SingleThird;
-        for key in site.cdn.third_parties() {
-            edges.push((key, ServiceKind::Cdn, critical));
-        }
-    }
-    // site → CA.
-    if let Some(state) = site.ca.state {
-        if let Some((key, class)) = &site.ca.ca {
-            if *class == webdeps_measure::Classification::ThirdParty {
-                let critical = state == CaProfile::ThirdNoStaple;
-                edges.push((key, ServiceKind::Ca, critical));
-            }
-        }
-    }
-    (site.id, edges)
 }
 
 /// The mutable assembly stage of a [`DepGraph`].
@@ -274,69 +239,14 @@ impl Default for DepGraph {
 }
 
 impl DepGraph {
-    /// Builds the graph from a row measurement dataset: site edges from
-    /// the per-site states, provider edges from the §3.4 measurements.
-    /// Worker count is auto-resolved (see
-    /// [`webdeps_model::par::resolve_jobs`]); the result is identical at
-    /// any worker count.
+    /// Builds the graph from a row measurement dataset by converting it
+    /// to columnar arenas first; see [`DepGraph::from_columnar`].
     pub fn from_dataset(ds: &MeasurementDataset) -> DepGraph {
-        DepGraph::from_dataset_with_jobs(ds, 0)
+        DepGraph::from_columnar(&ColumnarDataset::from_rows(ds))
     }
 
-    /// [`DepGraph::from_dataset`] with an explicit worker count for the
-    /// sharded per-site edge extraction (`0` = auto). Assembly — id
-    /// assignment and edge insertion — is serial and consumes the
-    /// extracted shards in site order, so the graph is byte-identical
-    /// at any `jobs`.
-    pub fn from_dataset_with_jobs(ds: &MeasurementDataset, jobs: usize) -> DepGraph {
-        let mut g = GraphBuilder::new();
-        g.site_index = vec![NO_NODE; ds.sites.len()];
-
-        // Sharded extraction: pure reads of the dataset, in parallel.
-        // Fanning over indexes (not the sites slice itself) lets each
-        // extracted edge borrow its `ProviderKey` from the dataset, so
-        // no strings are cloned until assembly interns them.
-        let sites = &ds.sites;
-        let idxs: Vec<usize> = (0..sites.len()).collect();
-        let extracted = fan_out_chunked(&idxs, jobs, |shard| {
-            shard.iter().map(|&i| site_edges(&sites[i])).collect()
-        });
-
-        // Serial assembly in site order.
-        for (site, edges) in extracted {
-            let site_node = g.intern_site(site);
-            for (key, service, critical) in edges {
-                let p = g.intern_provider(key.as_str(), service);
-                g.add_edge(site_node, p, EdgeKind { service, critical });
-            }
-        }
-
-        // Provider → provider edges.
-        for pm in &ds.providers {
-            let from = g.intern_provider(pm.key.as_str(), pm.kind);
-            for (dep, service) in [
-                (&pm.dns_dep, ServiceKind::Dns),
-                (&pm.cdn_dep, ServiceKind::Cdn),
-            ] {
-                if let Some(dep) = dep {
-                    for key in &dep.providers {
-                        let to = g.intern_provider(key.as_str(), service);
-                        g.add_edge(
-                            from,
-                            to,
-                            EdgeKind {
-                                service,
-                                critical: dep.critical,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-        g.build()
-    }
-
-    /// Builds the graph from columnar arenas — the 1M-site path.
+    /// Builds the graph from columnar arenas: site edges from the
+    /// per-site states, provider edges from the §3.4 measurements.
     /// Worker count is auto-resolved; see
     /// [`DepGraph::from_columnar_with_jobs`].
     pub fn from_columnar(cds: &ColumnarDataset) -> DepGraph {
@@ -345,11 +255,11 @@ impl DepGraph {
 
     /// [`DepGraph::from_columnar`] with an explicit worker count for
     /// the sharded per-row edge extraction (`0` = auto). Extraction
-    /// streams the dataset's flat columns; serial assembly remaps
-    /// dataset [`NameId`]s into graph node ids through three dense
-    /// per-kind tables (no hashing). Node/edge insertion order is
-    /// exactly [`DepGraph::from_dataset`]'s, so the two builds yield
-    /// *equal* graphs — pinned in `tests/parallel_determinism.rs`.
+    /// streams the dataset's flat columns
+    /// ([`ColumnarDataset::site_edges`]); serial assembly, in site
+    /// order, remaps dataset [`NameId`]s into graph node ids through
+    /// three dense per-kind tables (no hashing), so the graph is
+    /// byte-identical at any `jobs`.
     pub fn from_columnar_with_jobs(cds: &ColumnarDataset, jobs: usize) -> DepGraph {
         let mut g = GraphBuilder::new();
         g.site_index = vec![NO_NODE; cds.len()];
@@ -549,6 +459,7 @@ impl DepGraph {
 mod tests {
     use super::*;
     use webdeps_measure::{measure_world, measure_world_columnar};
+    use webdeps_worldgen::profiles::DepState;
     use webdeps_worldgen::{World, WorldConfig};
 
     fn graph() -> (World, MeasurementDataset, DepGraph) {

@@ -254,7 +254,7 @@ impl<'g> ReachIndex<'g> {
 
 /// A provider endpoint in a [`Churn`] delta: wire key plus service
 /// kind. The service of an edge is always the kind of the provider
-/// being consumed, matching how [`DepGraph::from_dataset`] wires edges.
+/// being consumed, matching how [`DepGraph::from_columnar`] wires edges.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ProviderRef {
     /// Registrable-domain wire identity, e.g. `"dynect.net"`.

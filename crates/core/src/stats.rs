@@ -202,10 +202,8 @@ pub fn top_providers_in_bucket(
                 }
             }
             webdeps_model::ServiceKind::Ca => {
-                if let Some((key, class)) = &site.ca.ca {
-                    if *class == webdeps_measure::Classification::ThirdParty {
-                        *counts.entry(key.clone()).or_default() += 1;
-                    }
+                if let Some(key) = site.ca.third_party() {
+                    *counts.entry(key.clone()).or_default() += 1;
                 }
             }
             webdeps_model::ServiceKind::Cloud => {}

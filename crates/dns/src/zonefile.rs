@@ -89,7 +89,7 @@ pub fn parse_zone(text: &str, default_origin: Option<&DomainName>) -> Result<Zon
     let mut origin: Option<DomainName> = default_origin.cloned();
     let mut default_ttl = Ttl::DEFAULT;
     let mut last_owner: Option<DomainName> = None;
-    let mut soa: Option<(DomainName, Soa, Ttl)> = None;
+    let mut soa: Option<(DomainName, Soa, usize)> = None;
     let mut records: Vec<(usize, ResourceRecord)> = Vec::new();
 
     for (idx, raw) in text.lines().enumerate() {
@@ -189,7 +189,7 @@ pub fn parse_zone(text: &str, default_origin: Option<&DomainName>) -> Result<Zon
                         expire: nums[3],
                         minimum: nums[4],
                     },
-                    ttl,
+                    line_no,
                 ));
             }
             "NS" => {
@@ -241,11 +241,11 @@ pub fn parse_zone(text: &str, default_origin: Option<&DomainName>) -> Result<Zon
         }
     }
 
-    let (apex, soa, _ttl) = soa.ok_or_else(|| err(0, "zone file has no SOA record"))?;
+    let (apex, soa, soa_line) = soa.ok_or_else(|| err(0, "zone file has no SOA record"))?;
     if let Some(origin) = &origin {
         if &apex != origin {
             return Err(err(
-                0,
+                soa_line,
                 format!("SOA owner {apex} does not match origin {origin}"),
             ));
         }
@@ -441,6 +441,12 @@ blog IN CNAME @
         let dup_soa = "$ORIGIN x.com.\n@ IN SOA ns1.x.com. h.x.com. 1 2 3 4 5\n@ IN SOA ns1.x.com. h.x.com. 1 2 3 4 5\n";
         let e = Zone::from_zonefile(dup_soa).unwrap_err();
         assert!(e.message.contains("duplicate"));
+
+        let soa_off_origin =
+            "$ORIGIN x.com.\n@ IN NS ns1.x.com.\nsub IN SOA ns1.x.com. h.x.com. 1 2 3 4 5\n";
+        let e = Zone::from_zonefile(soa_off_origin).unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("does not match origin"));
     }
 
     #[test]

@@ -605,7 +605,7 @@ fn helper_call(code: &[Tok], lo: usize, hi: usize) -> Option<(CallRef, u32)> {
 }
 
 /// Index of the `)` matching the `(` at `open`, within `[open, hi)`.
-fn balanced_close(code: &[Tok], open: usize, hi: usize) -> Option<usize> {
+pub(crate) fn balanced_close(code: &[Tok], open: usize, hi: usize) -> Option<usize> {
     let mut depth = 0usize;
     for (k, t) in code.iter().enumerate().take(hi.min(code.len())).skip(open) {
         if t.is_punct('(') {
@@ -834,8 +834,7 @@ pub fn evaluate(
     // Per-node own facts, then callee→caller propagation.
     let own: Vec<(BTreeSet<u32>, bool, bool)> = nodes
         .iter()
-        .enumerate()
-        .map(|(id, n)| {
+        .map(|n| {
             let mut locks: BTreeSet<u32> = BTreeSet::new();
             for (lock, _, _) in &n.conc.acquires {
                 locks.extend(lock_id(lock));
@@ -843,7 +842,6 @@ pub fn evaluate(
             if let Some((lock, _)) = &n.conc.returns_guard {
                 locks.extend(lock_id(lock));
             }
-            let _ = id;
             let blocks = !n.conc.blocking.is_empty();
             let fans = FANOUT_FNS.contains(&n.name.as_str());
             (locks, blocks, fans)

@@ -17,6 +17,7 @@
 //!   not mutate shared accumulators captured from the enclosing fn;
 //!   workers return values that merge after join.
 
+use crate::concurrency::balanced_close;
 use crate::config::{self, Config};
 use crate::diag::Violation;
 use crate::lexer::{Tok, TokKind};
@@ -333,7 +334,7 @@ fn rule_float_ord(ctx: &FileCtx, cfg: &Config) -> Vec<Violation> {
             && code[i - 1].is_punct('.')
             && code.get(i + 1).is_some_and(|n| n.is_punct('('))
         {
-            let close = match matching_paren(code, i + 1) {
+            let close = match balanced_close(code, i + 1, code.len()) {
                 Some(c) => c,
                 None => continue,
             };
@@ -386,24 +387,6 @@ fn rule_float_ord(ctx: &FileCtx, cfg: &Config) -> Vec<Violation> {
         }
     }
     out
-}
-
-/// Index of the `)` matching the `(` at `open`.
-fn matching_paren(code: &[Tok], open: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    let mut j = open;
-    while let Some(t) = code.get(j) {
-        if t.is_punct('(') {
-            depth += 1;
-        } else if t.is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                return Some(j);
-            }
-        }
-        j += 1;
-    }
-    None
 }
 
 // ---- must-use-api ----
@@ -517,7 +500,7 @@ fn rule_thread_capture(ctx: &FileCtx, parsed: &ParsedFile, cfg: &Config) -> Vec<
                 i += 1;
                 continue;
             }
-            let Some(close) = matching_paren(code, i + 1) else {
+            let Some(close) = balanced_close(code, i + 1, code.len()) else {
                 i += 1;
                 continue;
             };

@@ -13,18 +13,10 @@ use webdeps_model::{DomainName, PublicSuffixList};
 use webdeps_web::CrawlReport;
 use webdeps_worldgen::profiles::CaProfile;
 
-/// Classifies a crawled site's CA dependency.
+/// Classifies a crawled site's CA dependency. `cache` is a caller-owned
+/// registrable-domain memo (one per shard on the hot path); results are
+/// independent of its state.
 pub fn classify_site(
-    report: &CrawlReport,
-    resolver: &mut Resolver<'_>,
-    psl: &PublicSuffixList,
-) -> SiteCaMeasurement {
-    classify_site_cached(report, resolver, psl, &mut ClassifyCache::new())
-}
-
-/// [`classify_site`] with a caller-owned registrable-domain memo (the
-/// per-shard hot path); results are independent of cache state.
-pub fn classify_site_cached(
     report: &CrawlReport,
     resolver: &mut Resolver<'_>,
     psl: &PublicSuffixList,
@@ -107,7 +99,12 @@ mod tests {
             listing.https,
         );
         let mut resolver = world.resolver();
-        let m = classify_site(&report, &mut resolver, &world.psl);
+        let m = classify_site(
+            &report,
+            &mut resolver,
+            &world.psl,
+            &mut ClassifyCache::new(),
+        );
         (report, m)
     }
 

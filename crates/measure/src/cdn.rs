@@ -34,19 +34,10 @@ pub fn is_internal(
     false
 }
 
-/// Classifies a crawled site's CDN usage.
+/// Classifies a crawled site's CDN usage. `cache` is a caller-owned
+/// registrable-domain memo (one per shard on the hot path); results are
+/// independent of its state.
 pub fn classify_site(
-    report: &CrawlReport,
-    cname_map: &CnameToCdnMap,
-    resolver: &mut Resolver<'_>,
-    psl: &PublicSuffixList,
-) -> SiteCdnMeasurement {
-    classify_site_cached(report, cname_map, resolver, psl, &mut ClassifyCache::new())
-}
-
-/// [`classify_site`] with a caller-owned registrable-domain memo (the
-/// per-shard hot path); results are independent of cache state.
-pub fn classify_site_cached(
     report: &CrawlReport,
     cname_map: &CnameToCdnMap,
     resolver: &mut Resolver<'_>,
@@ -155,7 +146,13 @@ mod tests {
             listing.https,
         );
         let mut resolver = world.resolver();
-        classify_site(&report, &world.cname_map, &mut resolver, &world.psl)
+        classify_site(
+            &report,
+            &world.cname_map,
+            &mut resolver,
+            &world.psl,
+            &mut ClassifyCache::new(),
+        )
     }
 
     #[test]

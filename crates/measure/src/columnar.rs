@@ -20,8 +20,9 @@
 //!
 //! `tests/parallel_determinism.rs` pins both equal at any worker count.
 
-use crate::classify::Classification;
-use crate::dataset::MeasurementDataset;
+use crate::dataset::{
+    MeasurementDataset, SiteCaMeasurement, SiteCdnMeasurement, SiteDnsMeasurement,
+};
 use crate::interservice::ProviderMeasurement;
 use webdeps_model::{Interner, NameId, ServiceKind, SiteId};
 use webdeps_worldgen::profiles::{CaProfile, CdnProfile, DepState};
@@ -164,21 +165,7 @@ impl ColumnarDataset {
     pub fn from_rows(ds: &MeasurementDataset) -> ColumnarDataset {
         let mut out = ColumnarDataset::with_capacity(ds.sites.len(), ds.threshold);
         for site in &ds.sites {
-            let dns_keys: Vec<&str> = site.dns.third_parties().map(|k| k.as_str()).collect();
-            let cdn_keys: Vec<&str> = site.cdn.third_parties().map(|k| k.as_str()).collect();
-            let ca_key = match &site.ca.ca {
-                Some((key, Classification::ThirdParty)) => Some(key.as_str()),
-                _ => None,
-            };
-            out.push_site(
-                site.id,
-                site.dns.state,
-                site.cdn.state,
-                site.ca.state,
-                &dns_keys,
-                &cdn_keys,
-                ca_key,
-            );
+            out.push_measured(site.id, &site.dns, &site.cdn, &site.ca);
         }
         for pm in &ds.providers {
             out.push_provider(pm);
@@ -212,78 +199,86 @@ impl ColumnarDataset {
         }
     }
 
-    /// Appends one site's classification (assembly-side; rank order is
-    /// the caller's responsibility).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn push_site(
+    /// Appends one measured site, interning its third-party provider
+    /// keys (rank order is the caller's responsibility).
+    pub(crate) fn push_measured(
         &mut self,
         id: SiteId,
-        dns: Option<DepState>,
-        cdn: Option<CdnProfile>,
-        ca: Option<CaProfile>,
-        dns_keys: &[&str],
-        cdn_keys: &[&str],
-        ca_key: Option<&str>,
+        dns: &SiteDnsMeasurement,
+        cdn: &SiteCdnMeasurement,
+        ca: &SiteCaMeasurement,
     ) {
         self.site_ids.push(id);
-        self.dns_state.push(enc_dns(dns));
-        self.cdn_state.push(enc_cdn(cdn));
-        self.ca_state.push(enc_ca(ca));
-        for key in dns_keys {
-            self.dns_providers.push(self.names.intern(key));
-        }
+        self.dns_state.push(enc_dns(dns.state));
+        self.cdn_state.push(enc_cdn(cdn.state));
+        self.ca_state.push(enc_ca(ca.state));
+        self.dns_providers
+            .extend(dns.third_parties().map(|k| self.names.intern(k.as_str())));
         self.dns_start
             .push(checked_offset(self.dns_providers.len()));
-        for key in cdn_keys {
-            self.cdn_providers.push(self.names.intern(key));
+        self.cdn_providers
+            .extend(cdn.third_parties().map(|k| self.names.intern(k.as_str())));
+        self.cdn_start
+            .push(checked_offset(self.cdn_providers.len()));
+        self.ca_provider.push(
+            ca.third_party()
+                .map_or(NameId(NO_NAME), |k| self.names.intern(k.as_str())),
+        );
+    }
+
+    /// Joins measurement shards, in shard (= site) order, into one
+    /// dataset without a provider table. The output is pre-sized from
+    /// the shard totals: `heap_bytes` charges *capacity*, so exact
+    /// reservation keeps doubling slack out of the per-site budget.
+    pub(crate) fn from_shards(shards: Vec<ColumnarDataset>, threshold: usize) -> ColumnarDataset {
+        let mut out =
+            ColumnarDataset::with_capacity(shards.iter().map(|s| s.len()).sum(), threshold);
+        out.dns_providers
+            .reserve_exact(shards.iter().map(|s| s.dns_providers.len()).sum());
+        out.cdn_providers
+            .reserve_exact(shards.iter().map(|s| s.cdn_providers.len()).sum());
+        for shard in shards {
+            out.append(shard);
         }
-        self.cdn_start
-            .push(checked_offset(self.cdn_providers.len()));
-        self.ca_provider
-            .push(ca_key.map_or(NameId(NO_NAME), |k| self.names.intern(k)));
+        out
     }
 
-    /// Appends one site whose provider identities are *already* interned
-    /// into this dataset's arena — the streaming pipeline's assembly
-    /// path, which remaps each shard's local interner once per shard
-    /// instead of re-hashing every per-site key string.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn push_site_interned(
-        &mut self,
-        id: SiteId,
-        dns: Option<DepState>,
-        cdn: Option<CdnProfile>,
-        ca: Option<CaProfile>,
-        dns_ids: impl IntoIterator<Item = NameId>,
-        cdn_ids: impl IntoIterator<Item = NameId>,
-        ca_id: Option<NameId>,
-    ) {
-        self.site_ids.push(id);
-        self.dns_state.push(enc_dns(dns));
-        self.cdn_state.push(enc_cdn(cdn));
-        self.ca_state.push(enc_ca(ca));
-        self.dns_providers.extend(dns_ids);
-        self.dns_start
-            .push(checked_offset(self.dns_providers.len()));
-        self.cdn_providers.extend(cdn_ids);
-        self.cdn_start
-            .push(checked_offset(self.cdn_providers.len()));
-        self.ca_provider.push(ca_id.unwrap_or(NameId(NO_NAME)));
-    }
-
-    /// Interns one provider identity into the shared name arena,
-    /// returning its global id (assembly-side shard remapping).
-    pub(crate) fn intern_name(&mut self, s: &str) -> NameId {
-        self.names.intern(s)
-    }
-
-    /// Pre-sizes the flat provider columns to their exact final lengths
-    /// (known up front from the shard outputs). `heap_bytes` charges
-    /// *capacity*, so exact reservation keeps doubling slack out of the
-    /// per-site budget.
-    pub(crate) fn reserve_flat(&mut self, dns_total: usize, cdn_total: usize) {
-        self.dns_providers.reserve_exact(dns_total);
-        self.cdn_providers.reserve_exact(cdn_total);
+    /// Appends a later shard's sites (not its provider table). Each
+    /// shard interned its names in first-seen site order, so remapping
+    /// the shard's name table *in id order* into this arena reproduces
+    /// exactly the interning order a serial site walk would — one hash
+    /// probe per distinct shard name instead of one per site key.
+    fn append(&mut self, shard: ColumnarDataset) {
+        let remap: Vec<NameId> = shard.names.names().map(|n| self.names.intern(n)).collect();
+        let global = |n: &NameId| remap[n.index()];
+        self.site_ids.extend_from_slice(&shard.site_ids);
+        self.dns_state.extend_from_slice(&shard.dns_state);
+        self.cdn_state.extend_from_slice(&shard.cdn_state);
+        self.ca_state.extend_from_slice(&shard.ca_state);
+        let base = self.dns_providers.len();
+        self.dns_providers
+            .extend(shard.dns_providers.iter().map(global));
+        self.dns_start.extend(
+            shard.dns_start[1..]
+                .iter()
+                .map(|&end| checked_offset(base + end as usize)),
+        );
+        let base = self.cdn_providers.len();
+        self.cdn_providers
+            .extend(shard.cdn_providers.iter().map(global));
+        self.cdn_start.extend(
+            shard.cdn_start[1..]
+                .iter()
+                .map(|&end| checked_offset(base + end as usize)),
+        );
+        // The "no CA" sentinel is not a name and stays as it is.
+        self.ca_provider.extend(shard.ca_provider.iter().map(|n| {
+            if n.0 == NO_NAME {
+                *n
+            } else {
+                global(n)
+            }
+        }));
     }
 
     /// Appends one provider measurement (interning its keys).
@@ -381,10 +376,10 @@ impl ColumnarDataset {
     }
 
     /// Row `i`'s dependency edges as `(provider, service, critical)`,
-    /// in DNS → CDN → CA order — the columnar counterpart of the graph
-    /// layer's per-site edge extraction. Edges only exist for
-    /// *characterized* services (state present), exactly like the row
-    /// path.
+    /// in DNS → CDN → CA order — the one per-site edge rule the graph
+    /// layer builds from. Edges only exist for *characterized* services
+    /// (state present); a service is critical when its sole provider is
+    /// a single third party (DNS, CDN) or an unstapled third-party CA.
     pub fn site_edges(&self, i: usize) -> (SiteId, Vec<(NameId, ServiceKind, bool)>) {
         let mut edges: Vec<(NameId, ServiceKind, bool)> = Vec::new();
         if let Some(state) = self.dns_state(i) {
@@ -463,7 +458,7 @@ impl ColumnarDataset {
 
 /// Checked CSR offset: a flat provider column longer than `u32::MAX`
 /// would silently wrap the ranges.
-pub(crate) fn checked_offset(len: usize) -> u32 {
+fn checked_offset(len: usize) -> u32 {
     assert!(
         u32::try_from(len).is_ok(),
         "columnar overflow: {len} flattened providers exceed the u32 offset space"

@@ -129,6 +129,16 @@ pub struct SiteCaMeasurement {
     pub state: Option<CaProfile>,
 }
 
+impl SiteCaMeasurement {
+    /// The CA's key, if it was classified third-party.
+    pub fn third_party(&self) -> Option<&ProviderKey> {
+        match &self.ca {
+            Some((key, Classification::ThirdParty)) => Some(key),
+            _ => None,
+        }
+    }
+}
+
 /// Everything measured about one site.
 #[derive(Debug, Clone)]
 pub struct SiteMeasurement {

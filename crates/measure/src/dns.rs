@@ -46,18 +46,10 @@ pub fn observe_site(resolver: &mut Resolver<'_>, site: &DomainName) -> Option<Dn
 }
 
 /// Dataset-wide nameserver concentration: how many sites each
-/// nameserver registrable-domain serves.
-pub fn ns_concentration(
-    observations: &[Option<DnsObservation>],
-    psl: &PublicSuffixList,
-) -> HashMap<DomainName, usize> {
-    ns_concentration_cached(observations, psl, &mut ClassifyCache::new())
-}
-
-/// [`ns_concentration`] with a caller-owned memo — the hot-path entry
-/// point: provider registrable domains recur across the whole shard, so
+/// nameserver registrable-domain serves. The caller owns the memo:
+/// provider registrable domains recur across the whole shard, so
 /// counting only allocates a key the first time a domain is seen.
-pub fn ns_concentration_cached(
+pub fn ns_concentration(
     observations: &[Option<DnsObservation>],
     psl: &PublicSuffixList,
     cache: &mut ClassifyCache,
@@ -137,69 +129,12 @@ pub enum GroupingStrategy {
     TldOnly,
 }
 
-/// Pass two: classify one site's pairs and derive its dependency state
-/// with the paper's grouping rule.
+/// Pass two: classify one site's pairs and derive its dependency state,
+/// merging nameservers into entities by `grouping` (the paper's rule is
+/// [`GroupingStrategy::TldAndSoa`]). `cache` is a caller-owned
+/// registrable-domain memo (one per shard on the hot path); results are
+/// independent of its state (pinned by the classify-cache test).
 pub fn classify_site(
-    obs: &DnsObservation,
-    san: Option<&[DomainName]>,
-    concentration: &HashMap<DomainName, usize>,
-    threshold: usize,
-    psl: &PublicSuffixList,
-) -> SiteDnsMeasurement {
-    classify_site_with_grouping(
-        obs,
-        san,
-        concentration,
-        threshold,
-        psl,
-        GroupingStrategy::TldAndSoa,
-    )
-}
-
-/// [`classify_site`] with a caller-owned registrable-domain memo (the
-/// per-shard hot path).
-pub fn classify_site_cached(
-    obs: &DnsObservation,
-    san: Option<&[DomainName]>,
-    concentration: &HashMap<DomainName, usize>,
-    threshold: usize,
-    psl: &PublicSuffixList,
-    cache: &mut ClassifyCache,
-) -> SiteDnsMeasurement {
-    classify_site_with_grouping_cached(
-        obs,
-        san,
-        concentration,
-        threshold,
-        psl,
-        GroupingStrategy::TldAndSoa,
-        cache,
-    )
-}
-
-/// [`classify_site`] with a selectable grouping strategy (ablations).
-pub fn classify_site_with_grouping(
-    obs: &DnsObservation,
-    san: Option<&[DomainName]>,
-    concentration: &HashMap<DomainName, usize>,
-    threshold: usize,
-    psl: &PublicSuffixList,
-    grouping: GroupingStrategy,
-) -> SiteDnsMeasurement {
-    classify_site_with_grouping_cached(
-        obs,
-        san,
-        concentration,
-        threshold,
-        psl,
-        grouping,
-        &mut ClassifyCache::new(),
-    )
-}
-
-/// [`classify_site_with_grouping`] against a caller-owned memo; results
-/// are independent of cache state (pinned by the classify-cache test).
-pub fn classify_site_with_grouping_cached(
     obs: &DnsObservation,
     san: Option<&[DomainName]>,
     concentration: &HashMap<DomainName, usize>,
@@ -344,9 +279,26 @@ mod tests {
         HashMap::new()
     }
 
+    /// The paper's grouping at threshold 50, against a fresh memo.
+    fn classify(
+        o: &DnsObservation,
+        san: Option<&[DomainName]>,
+        conc: &HashMap<DomainName, usize>,
+    ) -> SiteDnsMeasurement {
+        let psl = PublicSuffixList::builtin();
+        classify_site(
+            o,
+            san,
+            conc,
+            50,
+            &psl,
+            GroupingStrategy::TldAndSoa,
+            &mut ClassifyCache::new(),
+        )
+    }
+
     #[test]
     fn private_site_classified_private() {
-        let psl = PublicSuffixList::builtin();
         let o = obs(
             "example.com",
             &[
@@ -355,14 +307,13 @@ mod tests {
             ],
             "example.com",
         );
-        let m = classify_site(&o, None, &empty_conc(), 50, &psl);
+        let m = classify(&o, None, &empty_conc());
         assert_eq!(m.state, Some(DepState::Private));
         assert_eq!(m.groups.len(), 1);
     }
 
     #[test]
     fn single_third_party_detected_by_soa_mismatch() {
-        let psl = PublicSuffixList::builtin();
         let o = obs(
             "example.com",
             &[
@@ -371,14 +322,13 @@ mod tests {
             ],
             "example.com",
         );
-        let m = classify_site(&o, None, &empty_conc(), 50, &psl);
+        let m = classify(&o, None, &empty_conc());
         assert_eq!(m.state, Some(DepState::SingleThird));
         assert_eq!(m.groups[0].key.as_str(), "dynect.net");
     }
 
     #[test]
     fn provider_managed_soa_needs_concentration() {
-        let psl = PublicSuffixList::builtin();
         // Site SOA is provider-managed → SOA rule can't fire.
         let o = obs(
             "example.com",
@@ -386,16 +336,15 @@ mod tests {
             "bigdns.net",
         );
         let mut conc = empty_conc();
-        let m = classify_site(&o, None, &conc, 50, &psl);
+        let m = classify(&o, None, &conc);
         assert_eq!(m.state, None, "small provider-managed → uncharacterized");
         conc.insert(dn("bigdns.net"), 500);
-        let m = classify_site(&o, None, &conc, 50, &psl);
+        let m = classify(&o, None, &conc);
         assert_eq!(m.state, Some(DepState::SingleThird));
     }
 
     #[test]
     fn multi_provider_redundancy_detected() {
-        let psl = PublicSuffixList::builtin();
         let o = obs(
             "example.com",
             &[
@@ -404,7 +353,7 @@ mod tests {
             ],
             "example.com",
         );
-        let m = classify_site(&o, None, &empty_conc(), 50, &psl);
+        let m = classify(&o, None, &empty_conc());
         assert_eq!(m.state, Some(DepState::MultiThird));
         assert_eq!(m.groups.len(), 2);
     }
@@ -431,26 +380,28 @@ mod tests {
                 )),
             ],
         };
-        let full = classify_site_with_grouping(
+        let full = classify_site(
             &o,
             None,
             &empty_conc(),
             50,
             &psl,
             GroupingStrategy::TldAndSoa,
+            &mut ClassifyCache::new(),
         );
         assert_eq!(
             full.state,
             Some(DepState::SingleThird),
             "truth: one operator"
         );
-        let tld_only = classify_site_with_grouping(
+        let tld_only = classify_site(
             &o,
             None,
             &empty_conc(),
             50,
             &psl,
             GroupingStrategy::TldOnly,
+            &mut ClassifyCache::new(),
         );
         assert_eq!(
             tld_only.state,
@@ -461,7 +412,6 @@ mod tests {
 
     #[test]
     fn alibaba_alias_domains_are_one_entity() {
-        let psl = PublicSuffixList::builtin();
         // Two TLDs, same SOA MNAME → one group → *not* redundant.
         let o = DnsObservation {
             site: dn("example.com"),
@@ -480,7 +430,7 @@ mod tests {
                 )),
             ],
         };
-        let m = classify_site(&o, None, &empty_conc(), 50, &psl);
+        let m = classify(&o, None, &empty_conc());
         assert_eq!(m.groups.len(), 1, "same MNAME must merge");
         assert_eq!(m.state, Some(DepState::SingleThird));
         assert_eq!(m.groups[0].key.as_str(), "alibabadns.com");
@@ -488,7 +438,6 @@ mod tests {
 
     #[test]
     fn private_plus_third_is_redundant() {
-        let psl = PublicSuffixList::builtin();
         let o = obs(
             "example.com",
             &[
@@ -497,13 +446,12 @@ mod tests {
             ],
             "example.com",
         );
-        let m = classify_site(&o, None, &empty_conc(), 50, &psl);
+        let m = classify(&o, None, &empty_conc());
         assert_eq!(m.state, Some(DepState::PrivatePlusThird));
     }
 
     #[test]
     fn san_rescues_alias_ns() {
-        let psl = PublicSuffixList::builtin();
         let o = obs(
             "ytube.com",
             &[
@@ -513,7 +461,7 @@ mod tests {
             "googol.com",
         );
         let san = vec![dn("ytube.com"), dn("*.googol.com")];
-        let m = classify_site(&o, Some(&san), &empty_conc(), 50, &psl);
+        let m = classify(&o, Some(&san), &empty_conc());
         assert_eq!(
             m.state,
             Some(DepState::Private),
@@ -530,7 +478,7 @@ mod tests {
             "a.com",
         );
         let o2 = obs("b.com", &[("ns1.big.net", "big.net")], "b.com");
-        let counts = ns_concentration(&[Some(o1), Some(o2), None], &psl);
+        let counts = ns_concentration(&[Some(o1), Some(o2), None], &psl, &mut ClassifyCache::new());
         assert_eq!(counts[&dn("big.net")], 2, "two sites, not three pairs");
     }
 }

@@ -7,9 +7,9 @@
 //! *observed in the site measurements* — the pipeline probes exactly
 //! the providers the crawl surfaced, like the paper did.
 
-use crate::classify::{classify, Classification, ClassifierKind, Evidence};
+use crate::classify::{classify, Classification, ClassifierKind, ClassifyCache, Evidence};
 use crate::dataset::ProviderKey;
-use crate::dns::{classify_site as classify_dns, DnsObservation};
+use crate::dns::{classify_site as classify_dns, DnsObservation, GroupingStrategy};
 use std::collections::HashMap;
 use webdeps_dns::{Dig, Resolver, Soa};
 use webdeps_model::{DomainName, PublicSuffixList, ServiceKind};
@@ -98,7 +98,15 @@ pub fn measure_dns_dep(
         site_soa,
         ns_soas,
     };
-    let m = classify_dns(&obs, None, concentration, threshold, psl);
+    let m = classify_dns(
+        &obs,
+        None,
+        concentration,
+        threshold,
+        psl,
+        GroupingStrategy::TldAndSoa,
+        &mut ClassifyCache::new(),
+    );
     let providers = m.third_parties().cloned().collect();
     InterServiceDep::from_dns_state(m.state, providers)
 }

@@ -9,8 +9,8 @@
 //! web plane, PKI, CNAME-to-CDN map, public-suffix list, site list);
 //! ground truth never flows in.
 
-use crate::classify::{Classification, ClassifyCache};
-use crate::columnar::{checked_offset, ColumnarDataset};
+use crate::classify::ClassifyCache;
+use crate::columnar::ColumnarDataset;
 use crate::dataset::{
     MeasurementDataset, ProviderKey, SiteCaMeasurement, SiteCdnMeasurement, SiteDnsMeasurement,
     SiteMeasurement,
@@ -18,11 +18,8 @@ use crate::dataset::{
 use crate::interservice::{self, ProviderMeasurement};
 use crate::{ca, cdn, dns};
 use std::collections::HashMap;
-use webdeps_model::{
-    fan_out_chunked, timing, DomainName, Interner, NameId, PublicSuffixList, SiteId,
-};
+use webdeps_model::{fan_out_chunked, timing, DomainName, PublicSuffixList};
 use webdeps_web::{CrawlReport, Crawler, WebClient};
-use webdeps_worldgen::profiles::{CaProfile, CdnProfile, DepState};
 use webdeps_worldgen::{SiteListing, World};
 
 /// Distinct-name bound on every crawl-path resolver cache.
@@ -117,43 +114,15 @@ pub fn measure_world_columnar(world: &World) -> ColumnarDataset {
 /// point.
 ///
 /// The passes are [`measure_world_with`]'s, run by the same kernel;
-/// only the storage differs. Each shard emits columnar rows keyed by a
-/// shard-local interner, and serial assembly remaps those ids into the
-/// global arena in shard (= site) order. The result equals
+/// only the storage differs. Each shard stores its sites in a
+/// [`ColumnarDataset`] of its own, and serial assembly appends the
+/// shards in shard (= site) order, remapping each shard's names into
+/// the global arena. The result equals
 /// `ColumnarDataset::from_rows(&measure_world_with(world, config))` —
 /// pinned by `tests/parallel_determinism.rs` — at any worker count.
 pub fn measure_world_columnar_with(world: &World, config: MeasureConfig) -> ColumnarDataset {
-    let (mut out, providers) = measure_sharded(world, config, |shards: Vec<ShardColumns>| {
-        // Each shard's local interner assigned ids in first-seen site
-        // order, so remapping the shard name table *in id order* into
-        // the global arena reproduces exactly the interning order a
-        // serial site walk would — one hash probe per distinct shard
-        // name instead of one per site key.
-        let n_sites = shards.iter().map(|s| s.site_ids.len()).sum();
-        let mut out = ColumnarDataset::with_capacity(n_sites, config.threshold);
-        out.reserve_flat(
-            shards.iter().map(|s| s.dns_providers.len()).sum(),
-            shards.iter().map(|s| s.cdn_providers.len()).sum(),
-        );
-        let mut remap: Vec<NameId> = Vec::new();
-        for shard in shards {
-            remap.clear();
-            for name in shard.names.names() {
-                remap.push(out.intern_name(name));
-            }
-            for i in 0..shard.site_ids.len() {
-                out.push_site_interned(
-                    shard.site_ids[i],
-                    shard.dns_state[i],
-                    shard.cdn_state[i],
-                    shard.ca_state[i],
-                    shard.dns_ids_of(i).iter().map(|n| remap[n.index()]),
-                    shard.cdn_ids_of(i).iter().map(|n| remap[n.index()]),
-                    shard.ca_slot[i].map(|n| remap[n.index()]),
-                );
-            }
-        }
-        out
+    let (mut out, providers) = measure_sharded(world, config, |shards| {
+        ColumnarDataset::from_shards(shards, config.threshold)
     });
     for pm in &providers {
         out.push_provider(pm);
@@ -165,7 +134,7 @@ pub fn measure_world_columnar_with(world: &World, config: MeasureConfig) -> Colu
 /// only step in which the row and columnar producers differ.
 trait SiteSink: Send {
     /// An empty store for a shard of `n` sites.
-    fn with_capacity(n: usize) -> Self;
+    fn for_shard(n: usize) -> Self;
 
     /// Appends one site's classification, in site order.
     fn push_site(
@@ -179,7 +148,7 @@ trait SiteSink: Send {
 }
 
 impl SiteSink for Vec<SiteMeasurement> {
-    fn with_capacity(n: usize) -> Self {
+    fn for_shard(n: usize) -> Self {
         Vec::with_capacity(n)
     }
 
@@ -203,53 +172,12 @@ impl SiteSink for Vec<SiteMeasurement> {
     }
 }
 
-/// One shard's columnar rows, keyed by a shard-local interner. Only the
-/// third-party provider identities and the three states survive; no
-/// [`SiteMeasurement`] is ever kept.
-struct ShardColumns {
-    names: Interner,
-    site_ids: Vec<SiteId>,
-    dns_state: Vec<Option<DepState>>,
-    cdn_state: Vec<Option<CdnProfile>>,
-    ca_state: Vec<Option<CaProfile>>,
-    /// CSR offsets into `dns_providers` (`len + 1` entries) — flat from
-    /// the start so the shard never allocates a per-site list.
-    dns_start: Vec<u32>,
-    dns_providers: Vec<NameId>,
-    /// CSR offsets into `cdn_providers` (`len + 1` entries).
-    cdn_start: Vec<u32>,
-    cdn_providers: Vec<NameId>,
-    ca_slot: Vec<Option<NameId>>,
-}
-
-impl ShardColumns {
-    fn dns_ids_of(&self, i: usize) -> &[NameId] {
-        &self.dns_providers[self.dns_start[i] as usize..self.dns_start[i + 1] as usize]
-    }
-
-    fn cdn_ids_of(&self, i: usize) -> &[NameId] {
-        &self.cdn_providers[self.cdn_start[i] as usize..self.cdn_start[i + 1] as usize]
-    }
-}
-
-impl SiteSink for ShardColumns {
-    fn with_capacity(n: usize) -> Self {
-        let mut dns_start = Vec::with_capacity(n + 1);
-        dns_start.push(0);
-        let mut cdn_start = Vec::with_capacity(n + 1);
-        cdn_start.push(0);
-        ShardColumns {
-            names: Interner::with_capacity(64),
-            site_ids: Vec::with_capacity(n),
-            dns_state: Vec::with_capacity(n),
-            cdn_state: Vec::with_capacity(n),
-            ca_state: Vec::with_capacity(n),
-            dns_start,
-            dns_providers: Vec::new(),
-            cdn_start,
-            cdn_providers: Vec::new(),
-            ca_slot: Vec::with_capacity(n),
-        }
+/// A columnar shard keys its sites by a shard-local name arena; only
+/// the third-party provider identities and the three states survive,
+/// no [`SiteMeasurement`] is ever kept.
+impl SiteSink for ColumnarDataset {
+    fn for_shard(n: usize) -> Self {
+        ColumnarDataset::with_capacity(n, 0)
     }
 
     fn push_site(
@@ -260,22 +188,7 @@ impl SiteSink for ShardColumns {
         cdn: SiteCdnMeasurement,
         ca: SiteCaMeasurement,
     ) {
-        self.site_ids.push(listing.id);
-        self.dns_state.push(dns.state);
-        self.cdn_state.push(cdn.state);
-        self.ca_state.push(ca.state);
-        self.dns_providers
-            .extend(dns.third_parties().map(|k| self.names.intern(k.as_str())));
-        self.dns_start
-            .push(checked_offset(self.dns_providers.len()));
-        self.cdn_providers
-            .extend(cdn.third_parties().map(|k| self.names.intern(k.as_str())));
-        self.cdn_start
-            .push(checked_offset(self.cdn_providers.len()));
-        self.ca_slot.push(match &ca.ca {
-            Some((key, Classification::ThirdParty)) => Some(self.names.intern(key.as_str())),
-            _ => None,
-        });
+        self.push_measured(listing.id, &dns, &cdn, &ca);
     }
 }
 
@@ -398,7 +311,7 @@ fn measure_sharded<S: SiteSink, D>(
             .iter()
             .map(|l| dns::observe_site(client.resolver_mut(), &l.domain))
             .collect();
-        let counts = dns::ns_concentration_cached(&observations, psl, &mut ClassifyCache::new());
+        let counts = dns::ns_concentration(&observations, psl, &mut ClassifyCache::new());
         vec![(observations, counts)]
     });
     let mut concentration: HashMap<DomainName, usize> = HashMap::new();
@@ -419,7 +332,7 @@ fn measure_sharded<S: SiteSink, D>(
     let shards = fan_out_chunked(&items, config.threads, |shard| {
         let mut client = bounded_client(world);
         let mut cache = ClassifyCache::new();
-        let mut sites = S::with_capacity(shard.len());
+        let mut sites = S::for_shard(shard.len());
         let mut witnesses = Witnesses::default();
         for (listing, obs) in shard {
             let report = Crawler::crawl(
@@ -430,12 +343,13 @@ fn measure_sharded<S: SiteSink, D>(
             );
             let san = report.certificate.as_ref().map(|c| c.san.as_slice());
             let dns_m = match obs {
-                Some(obs) => dns::classify_site_cached(
+                Some(obs) => dns::classify_site(
                     obs,
                     san,
                     &concentration,
                     config.threshold,
                     psl,
+                    dns::GroupingStrategy::TldAndSoa,
                     &mut cache,
                 ),
                 None => SiteDnsMeasurement {
@@ -445,9 +359,8 @@ fn measure_sharded<S: SiteSink, D>(
                 },
             };
             let resolver = client.resolver_mut();
-            let ca_m = ca::classify_site_cached(&report, resolver, psl, &mut cache);
-            let cdn_m =
-                cdn::classify_site_cached(&report, &world.cname_map, resolver, psl, &mut cache);
+            let ca_m = ca::classify_site(&report, resolver, psl, &mut cache);
+            let cdn_m = cdn::classify_site(&report, &world.cname_map, resolver, psl, &mut cache);
             witnesses.record(&report, &dns_m, &cdn_m, &ca_m, &mut cache, psl);
             sites.push_site(listing, report.reachable(), dns_m, cdn_m, ca_m);
         }

@@ -21,7 +21,7 @@ use std::time::Instant;
 use webdeps_core::outage::provider_entity;
 use webdeps_core::{probe_site, ApplyKind, Churn, DepGraph, MetricOptions, MutableReach};
 use webdeps_dns::FaultPlan;
-use webdeps_measure::pipeline::measure_world;
+use webdeps_measure::measure_world_columnar;
 use webdeps_model::ServiceKind;
 use webdeps_worldgen::{SiteListing, World};
 
@@ -74,12 +74,14 @@ fn write_indexes(lock: &RwLock<IndexPair>) -> RwLockWriteGuard<'_, IndexPair> {
 }
 
 impl Engine {
-    /// Builds the engine from a generated world: measure, assemble the
-    /// dependency graph, condense both index configurations, then drop
-    /// the intermediate dataset (the indexes own everything they need).
+    /// Builds the engine from a generated world: measure it straight
+    /// into columnar arenas, assemble the dependency graph, condense
+    /// both index configurations, then drop the intermediate dataset
+    /// (the indexes own everything they need). No row dataset is ever
+    /// held.
     pub fn from_world(world: World, verify_patches: bool, allow_poison: bool) -> Self {
-        let dataset = measure_world(&world);
-        let graph = DepGraph::from_dataset(&dataset);
+        let dataset = measure_world_columnar(&world);
+        let graph = DepGraph::from_columnar(&dataset);
         let opts = MetricOptions::full();
         let impact = MutableReach::from_graph(&graph, true, &opts);
         let concentration = MutableReach::from_graph(&graph, false, &opts);

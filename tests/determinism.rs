@@ -13,6 +13,7 @@
 //! constants below may be updated — but that is a results-breaking
 //! change and must be called out in the PR description.
 
+use webdeps::measure::classify::ClassifyCache;
 use webdeps::measure::dns;
 use webdeps::measure::pipeline::measure_world;
 use webdeps::model::rng::stable_hash;
@@ -115,7 +116,7 @@ fn dataset_concentration_matches_fresh_observe_pass() {
         .iter()
         .map(|l| dns::observe_site(client.resolver_mut(), &l.domain))
         .collect();
-    let fresh = dns::ns_concentration(&observations, &world.psl);
+    let fresh = dns::ns_concentration(&observations, &world.psl, &mut ClassifyCache::new());
     assert!(!fresh.is_empty(), "the world has nameservers to count");
     assert_eq!(
         dns::dataset_ns_concentration(&measure_world(&world), &world.psl),

@@ -170,22 +170,26 @@ fn measurement_dataset_identical_at_any_thread_count() {
 
 /// The streamed columnar pipeline never materializes rows, yet must
 /// equal the row pipeline converted columnar — same interner contents,
-/// same packed states, same CSR columns — at every worker count.
+/// same packed states, same CSR columns — at every worker count. The
+/// 3-site cap at 8 threads puts one site in each shard, so every shard
+/// boundary, name remap and "no CA" slot goes through assembly.
 #[test]
 fn columnar_dataset_identical_at_any_thread_count_and_matches_rows() {
     let world = crawl_world();
-    let config = |threads: usize| MeasureConfig {
-        max_sites: Some(250),
-        threads,
-        ..MeasureConfig::for_world(world)
-    };
-    let reference = ColumnarDataset::from_rows(&measure_world_with(world, config(1)));
-    for threads in [1usize, 2, 8] {
-        let streamed = measure_world_columnar_with(world, config(threads));
-        assert_eq!(
-            streamed, reference,
-            "columnar dataset diverged at threads={threads}"
-        );
+    for cap in [250usize, 3] {
+        let config = |threads: usize| MeasureConfig {
+            max_sites: Some(cap),
+            threads,
+            ..MeasureConfig::for_world(world)
+        };
+        let reference = ColumnarDataset::from_rows(&measure_world_with(world, config(1)));
+        for threads in [1usize, 2, 8] {
+            let streamed = measure_world_columnar_with(world, config(threads));
+            assert_eq!(
+                streamed, reference,
+                "columnar dataset diverged at cap={cap} threads={threads}"
+            );
+        }
     }
 }
 
